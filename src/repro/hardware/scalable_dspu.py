@@ -17,8 +17,12 @@ Simulation method: between digital control events (sync/switch edges) the
 analog dynamics are *linear*, ``dsigma/dt = A sigma + b`` with constant
 ``A`` and ``b``, so each interval is integrated exactly with the matrix
 exponential — no step-size error regardless of interval length.  The few
-distinct ``A`` matrices (one per live-slice phase) are factored once per
-mapping.
+distinct ``A`` matrices (one per live-slice phase) are exponentiated once
+per (clamp set, control interval, spatial-only mode) and memoized in a
+small per-instance LRU, so repeated forecasts on one mapping reduce to a
+cached matrix product per interval.  The memo is bypassed — propagators
+are rebuilt on every call — under coupler noise (drawn per call) or an
+enabled fault scenario.
 
 Physical timescale: trained parameters are conductances up to an arbitrary
 global scale (scaling ``J`` and ``h`` together leaves the fixed point
@@ -32,6 +36,7 @@ from __future__ import annotations
 import logging
 import math
 import time
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,6 +59,11 @@ logger = logging.getLogger("repro.hardware")
 #: ``backend="auto"`` only switches the per-phase matrices to CSR storage
 #: for systems at least this large; small grids gain nothing from sparsity.
 SPARSE_AUTO_MIN_NODES = 128
+
+#: Propagator sets memoized per :class:`ScalableDSPU` instance (LRU).  One
+#: entry holds two dense ``(free, free)`` matrices per switch phase plus
+#: each phase's forcing block.
+PROPAGATOR_CACHE_ENTRIES = 8
 
 
 def _pairs_matrix(
@@ -299,6 +309,9 @@ class ScalableDSPU:
             self._A_inter_phase.append(_pairs_matrix(live, n, sparse))
             self._A_inter_boosted.append(_pairs_matrix(boosted, n, sparse))
         self._A_inter_total = _store(np.where(inter_mask, self._A, 0.0))
+        # (clamp set, interval, spatial-only) -> per-phase (phi, integral,
+        # forcing block); filled lazily by ``anneal``.
+        self._propagator_cache: OrderedDict = OrderedDict()
 
     # ------------------------------------------------------------------
     # Introspection
@@ -403,6 +416,10 @@ class ScalableDSPU:
             :class:`AnnealingOutcome`.
 
         Raises:
+            ValueError: A non-positive duration or sync interval, bad
+                settle parameters, or a malformed observation set (length
+                mismatch, index outside ``[0, n)``, duplicate index, or a
+                non-finite value).
             DivergenceError: Fault injection is active and the state went
                 non-finite mid-run (fault-perturbed dynamics may lose the
                 trained system's contractivity).
@@ -428,6 +445,7 @@ class ScalableDSPU:
 
         observed_index = np.asarray(observed_index, dtype=int).reshape(-1)
         observed_values = np.asarray(observed_values, dtype=float).reshape(-1)
+        self._check_observations(observed_index, observed_values)
         free = np.setdiff1d(np.arange(n), observed_index)
         clamp = self._normalize_subset(observed_index, observed_values)
 
@@ -460,34 +478,6 @@ class ScalableDSPU:
             coupler_noise = (factor + factor.T) / 2.0
 
         num_phases = 1 if force_spatial_only else max(1, self.num_phases)
-        inter_source = (
-            [self._A_inter_phase[0]]
-            if force_spatial_only
-            else self._A_inter_boosted
-        )
-        A_local_base = faults.apply_coupling(self._A_local)
-        A_live: list = []
-        for A_s in inter_source:
-            A_s = faults.apply_coupling(A_s)
-            if coupler_noise is not None:
-                if sp.issparse(A_s):
-                    A_s = A_s.multiply(coupler_noise).tocsr()
-                else:
-                    A_s = A_s * coupler_noise
-            A_local = A_local_base
-            if coupler_noise is not None:
-                # The self-reaction resistor is inside the node, not a
-                # coupler; its conductance keeps the nominal value.
-                if sp.issparse(A_local):
-                    off = A_local.multiply(coupler_noise).tolil()
-                    off.setdiag(A_local.diagonal())
-                    A_local = off.tocsr()
-                else:
-                    off = A_local * coupler_noise
-                    np.fill_diagonal(off, np.diag(A_local_base))
-                    A_local = off
-            A_live.append(A_local + A_s)
-
         mode = (
             "spatial"
             if (force_spatial_only or self.mode == "spatial")
@@ -508,27 +498,27 @@ class ScalableDSPU:
                 obs.tracer().event(
                     "faults.injected", where="dspu", **faults.summary()
                 )
+            # Time `anneal` spent obtaining its propagators, one sample
+            # per call: a cache hit records the lookup, a miss or a bypass
+            # the full build.
             with obs.metrics().timer("dspu.build_propagators_ms"):
-                propagators = self._build_propagators(
-                    A_live, free_dyn, interval, workers=workers
+                phase_maps = self._phase_maps(
+                    clamp_index,
+                    free_dyn,
+                    interval,
+                    force_spatial_only,
+                    faults,
+                    coupler_noise,
+                    workers,
                 )
-            # The clamped-node forcing of each phase is constant across the
+            # The clamped-node drive of each phase is constant across the
             # whole run, so it is computed once instead of per interval.
-            forcing = [
-                np.asarray(
-                    self._submatrix(A, free_dyn, clamp_index) @ clamp_value
-                )
-                for A in A_live
+            phis = [phi for phi, _integral, _block in phase_maps]
+            drive = [
+                integral @ np.asarray(block @ clamp_value)
+                for _phi, integral, block in phase_maps
             ]
-
-            def propagate(phase: int, state: np.ndarray) -> np.ndarray:
-                phi, integral, A_ff_damped = propagators[phase]
-                del A_ff_damped
-                out = state.copy()
-                out[free_dyn] = (
-                    phi @ state[free_dyn] + integral @ forcing[phase]
-                )
-                return out
+            rail = cfg.rail_volts
 
             skip_mask = faults.sync_skip_mask(num_intervals)
             guard = faults.enabled
@@ -552,10 +542,9 @@ class ScalableDSPU:
                 phase = phase_cursor % num_phases
                 if collect:
                     started = time.perf_counter()
-                    sigma = propagate(phase, sigma)
+                sigma[free_dyn] = phis[phase] @ sigma[free_dyn] + drive[phase]
+                if collect:
                     phase_elapsed[phase] += time.perf_counter() - started
-                else:
-                    sigma = propagate(phase, sigma)
                 # Every integrated interval executes one switch phase
                 # (counting only completed rotations undercounted: 4
                 # intervals over 4 phases used to report 0).
@@ -571,7 +560,10 @@ class ScalableDSPU:
                     sigma[free] += rng.normal(
                         0.0, node_noise_std * cfg.rail_volts, size=free.size
                     )
-                np.clip(sigma, -cfg.rail_volts, cfg.rail_volts, out=sigma)
+                # Rail clip as two ufunc calls: same bits as ``np.clip``
+                # without its per-call dispatch, which cost a third of a
+                # warm anneal.
+                np.minimum(np.maximum(sigma, -rail, out=sigma), rail, out=sigma)
                 sigma[clamp_index] = clamp_value
                 if guard:
                     check_finite(
@@ -647,6 +639,117 @@ class ScalableDSPU:
             sync_skips=sync_skips,
             exited_early=exited_early,
         )
+
+    def _check_observations(
+        self, observed_index: np.ndarray, observed_values: np.ndarray
+    ) -> None:
+        """Reject a malformed observation set before it reaches the cache.
+
+        Without this, numpy indexing would accept it silently: ``-1``
+        clamps the last node, a duplicate index adds a spurious free-node
+        prediction, and a non-finite value on a node without inter-node
+        coupling never enters the (CSR) forcing product.
+        """
+        n = self.model.n
+        if observed_index.size != observed_values.size:
+            raise ValueError(
+                f"observed_index has {observed_index.size} entries but "
+                f"observed_values has {observed_values.size}"
+            )
+        out_of_range = (observed_index < 0) | (observed_index >= n)
+        if out_of_range.any():
+            raise ValueError(
+                f"observed_index must lie in [0, {n}); got "
+                f"{observed_index[out_of_range].tolist()[:5]}"
+            )
+        if np.unique(observed_index).size != observed_index.size:
+            raise ValueError("observed_index contains duplicate nodes")
+        if not np.isfinite(observed_values).all():
+            raise ValueError("observed_values must be finite")
+
+    def _phase_maps(
+        self,
+        clamp_index: np.ndarray,
+        free_dyn: np.ndarray,
+        interval: float,
+        force_spatial_only: bool,
+        faults: FaultScenario | NullFaultScenario,
+        coupler_noise: np.ndarray | None,
+        workers: int | None,
+    ) -> list[tuple[np.ndarray, np.ndarray, object]]:
+        """Per-phase ``(phi, integral, forcing block)``, memoized.
+
+        The forcing block is ``A[free_dyn, clamp_index]`` in the phase
+        matrix's own storage (CSR stays CSR, so the drive is bit-for-bit
+        the uncached one).  The ``A_*`` matrices are fixed at
+        construction, so the key is only what selects the live circuit
+        and its exponent: the clamp set in caller order, the control
+        interval and the spatial-only mode.  Coupler noise (drawn per
+        call) and an enabled fault scenario bypass the memo entirely.
+        """
+        cacheable = coupler_noise is None and not faults.enabled
+        metrics = obs.metrics()
+        cache = self._propagator_cache
+        key = (clamp_index.tobytes(), float(interval), bool(force_spatial_only))
+        if cacheable:
+            entry = cache.get(key)
+            if entry is not None:
+                cache.move_to_end(key)
+                metrics.counter("dspu.propagator_cache_hits").inc()
+                return entry
+
+        A_live = self._live_matrices(force_spatial_only, faults, coupler_noise)
+        propagators = self._build_propagators(
+            A_live, free_dyn, interval, workers=workers
+        )
+        entry = [
+            (phi, integral, self._submatrix(A, free_dyn, clamp_index))
+            for (phi, integral, _B), A in zip(propagators, A_live)
+        ]
+        if cacheable:
+            metrics.counter("dspu.propagator_cache_misses").inc()
+            cache[key] = entry
+            if len(cache) > PROPAGATOR_CACHE_ENTRIES:
+                cache.popitem(last=False)
+                metrics.counter("dspu.propagator_cache_evictions").inc()
+            metrics.gauge("dspu.propagator_cache_size").set(len(cache))
+        return entry
+
+    def _live_matrices(
+        self,
+        force_spatial_only: bool,
+        faults: FaultScenario | NullFaultScenario,
+        coupler_noise: np.ndarray | None,
+    ) -> list:
+        """Full ``(n, n)`` live dynamics matrix of every switch phase."""
+        inter_source = (
+            [self._A_inter_phase[0]]
+            if force_spatial_only
+            else self._A_inter_boosted
+        )
+        A_local_base = faults.apply_coupling(self._A_local)
+        A_live: list = []
+        for A_s in inter_source:
+            A_s = faults.apply_coupling(A_s)
+            if coupler_noise is not None:
+                if sp.issparse(A_s):
+                    A_s = A_s.multiply(coupler_noise).tocsr()
+                else:
+                    A_s = A_s * coupler_noise
+            A_local = A_local_base
+            if coupler_noise is not None:
+                # The self-reaction resistor is inside the node, not a
+                # coupler; its conductance keeps the nominal value.
+                if sp.issparse(A_local):
+                    off = A_local.multiply(coupler_noise).tolil()
+                    off.setdiag(A_local.diagonal())
+                    A_local = off.tocsr()
+                else:
+                    off = A_local * coupler_noise
+                    np.fill_diagonal(off, np.diag(A_local_base))
+                    A_local = off
+            A_live.append(A_local + A_s)
+        return A_live
 
     @staticmethod
     def _submatrix(A, rows: np.ndarray, cols: np.ndarray):

@@ -3,7 +3,8 @@
 Backs ``repro obs summarize PATH``: spans are grouped by name with timing
 totals, numeric span/event attributes are aggregated (sum/mean/min/max),
 and the last embedded metrics snapshot — counters, gauges, histogram
-summaries — is appended, together with the derived LU-cache hit rate.
+summaries — is appended, together with the derived LU-cache and DSPU
+propagator-cache hit ratios.
 """
 
 from __future__ import annotations
@@ -168,9 +169,10 @@ def _adaptive_path_lines(counters: dict) -> list[str]:
     return lines
 
 
-def _cache_hit_rate(counters: dict) -> float | None:
-    hits = counters.get("engine.cache_hits")
-    misses = counters.get("engine.cache_misses")
+def _cache_hit_rate(counters: dict, prefix: str) -> float | None:
+    """Hit share of ``{prefix}_hits`` / ``{prefix}_misses``, if recorded."""
+    hits = counters.get(f"{prefix}_hits")
+    misses = counters.get(f"{prefix}_misses")
     if hits is None and misses is None:
         return None
     hits = hits or 0
@@ -231,8 +233,9 @@ def format_metrics(snapshot: dict) -> str:
     """Render a metrics-registry snapshot (counters, gauges, histograms).
 
     Appends derived lines when their counters are present: the LU-cache
-    hit rate, the shared-memory transport summary (bytes shared vs bytes
-    pickled, attach/detach balance), mesh halo-exchange volume, and the
+    and DSPU propagator-cache hit ratios, the shared-memory transport
+    summary (bytes shared vs bytes pickled, attach/detach balance), mesh
+    halo-exchange volume, and the
     annealing-path efficiency of adaptive/early-exit integrations
     (member-step savings, step acceptance rate).
     Returns an empty string for an empty snapshot.
@@ -264,9 +267,12 @@ def format_metrics(snapshot: dict) -> str:
                 f"{h['max']:>9.3f}"
             )
     derived: list[str] = []
-    rate = _cache_hit_rate(counters)
+    rate = _cache_hit_rate(counters, "engine.cache")
     if rate is not None:
         derived.append(f"LU-cache hit rate: {100.0 * rate:.1f}%")
+    rate = _cache_hit_rate(counters, "dspu.propagator_cache")
+    if rate is not None:
+        derived.append(f"propagator cache hit ratio: {100.0 * rate:.1f}%")
     derived.extend(_shm_transport_lines(counters))
     derived.extend(_adaptive_path_lines(counters))
     if derived:

@@ -57,6 +57,19 @@ def decomposed_traffic(traffic_setup):
     )
 
 
+@pytest.fixture(autouse=True)
+def numpy_error_state_unchanged():
+    """Fail any test that leaves numpy's floating-point error handling
+    changed: ``np.seterr`` is process-global, so a leak silently alters
+    what every later test sees.  Scope changes with ``np.errstate``."""
+    before = np.geterr()
+    yield
+    after = np.geterr()
+    if after != before:
+        np.seterr(**before)
+        pytest.fail(f"test changed np.geterr() from {before} to {after}")
+
+
 @pytest.fixture
 def rng():
     """Canonical seeded generator for per-test randomness.

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from repro.core import NaturalAnnealingEngine, rmse
@@ -193,6 +195,56 @@ class TestAnnealing:
                 tw.observed_index, history, duration_ns=100.0,
                 sync_interval_ns=0.0,
             )
+
+
+class TestObservationValidation:
+    """Malformed observation sets are rejected before any work (and
+    before the propagator cache could key on them).  Unchecked, numpy
+    indexing accepted each one silently: ``-1`` clamped the last node, a
+    duplicate index added a spurious prediction, and a non-finite value
+    on a node without inter-node coupling still gave a finite forecast."""
+
+    MESSAGES = {
+        "nan": "finite",
+        "inf": "finite",
+        "-inf": "finite",
+        "duplicate": "duplicate",
+        "negative": r"\[0, \d+\)",
+        "too_large": r"\[0, \d+\)",
+        "short_values": "entries",
+        "long_values": "entries",
+    }
+
+    @given(
+        case=st.sampled_from(sorted(MESSAGES)),
+        position=st.integers(min_value=0, max_value=10_000),
+        offset=st.integers(min_value=0, max_value=1_000),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_malformed_observations_raise(
+        self, dspu, traffic_setup, case, position, offset
+    ):
+        tw = traffic_setup["windowing"]
+        index = tw.observed_index.copy()
+        values = tw.history_of(traffic_setup["test"].series, 3).copy()
+        n = dspu.model.n
+        k = position % index.size
+        if case in ("nan", "inf", "-inf"):
+            values[k] = float(case)
+        elif case == "duplicate":
+            index[k] = index[(k + 1 + offset % (index.size - 1)) % index.size]
+        elif case == "negative":
+            index[k] = -1 - offset % n
+        elif case == "too_large":
+            index[k] = n + offset
+        elif case == "short_values":
+            values = values[:k]
+        else:
+            values = np.concatenate([values, np.zeros(1 + offset % 5)])
+        cached = len(dspu._propagator_cache)
+        with pytest.raises(ValueError, match=self.MESSAGES[case]):
+            dspu.anneal(index, values, duration_ns=400.0)
+        assert len(dspu._propagator_cache) == cached
 
 
 class TestEnergyTrace:

@@ -149,6 +149,27 @@ class TestDSPUTelemetry:
         assert attrs["clamped_nodes"] == tw.observed_index.size
         assert attrs["phases_completed"] >= 1
 
+    def test_propagator_cache_counters(
+        self, decomposed_traffic, traffic_setup, tmp_path
+    ):
+        dspu = ScalableDSPU(decomposed_traffic)
+        tw = traffic_setup["windowing"]
+        history = tw.history_of(traffic_setup["test"].series, 3)
+        with obs.observe(trace_path=tmp_path / "trace.jsonl") as (
+            registry,
+            _tracer,
+        ):
+            for _ in range(2):
+                dspu.anneal(tw.observed_index, history, duration_ns=400.0)
+            snapshot = registry.snapshot()
+
+        # One timer sample per anneal: the build, then the cache lookup.
+        assert snapshot["histograms"]["dspu.build_propagators_ms"]["count"] == 2
+        assert snapshot["counters"]["dspu.propagator_cache_misses"] == 1
+        assert snapshot["counters"]["dspu.propagator_cache_hits"] == 1
+        assert "dspu.propagator_cache_evictions" not in snapshot["counters"]
+        assert snapshot["gauges"]["dspu.propagator_cache_size"] == 1
+
 
 class TestGNNTelemetry:
     def test_per_epoch_events_and_histograms(self, traffic_setup, tmp_path):

@@ -86,6 +86,20 @@ class TestFormatting:
         )
         assert "LU-cache hit rate: 0.0%" in text
 
+    def test_format_metrics_propagator_cache_hit_ratio(self):
+        text = format_metrics(
+            {
+                "counters": {
+                    "dspu.propagator_cache_hits": 3,
+                    "dspu.propagator_cache_misses": 1,
+                },
+                "gauges": {},
+                "histograms": {},
+            }
+        )
+        assert "propagator cache hit ratio: 75.0%" in text
+        assert "LU-cache" not in text
+
     def test_format_metrics_annealing_path_lines(self):
         text = format_metrics(
             {
