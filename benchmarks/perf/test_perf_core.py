@@ -23,12 +23,17 @@ def test_bench_smoke_writes_valid_payload(tmp_path):
         if result["name"] == "parallel_scaling_curve":
             assert result["rows"]
             for row in result["rows"]:
-                # Transport and worker count never change result bits.
-                assert row["max_abs_diff"] < 1e-8
-                assert row["transport_max_abs_diff"] < 1e-8
-                assert row["task_pickled_bytes_shm"] >= 1
+                # Worker count never changes result bits, and tasks ship
+                # shared-memory descriptors only.
+                assert row["max_abs_diff"] == 0.0
+                assert 0 < row["task_pickled_bytes_shm"] < 4096
             continue
         assert result["speedup"] > 0
+        if result["name"].startswith("tune_"):
+            # Tune rows judge both arms against an absolute MAE ceiling
+            # (baseline_mae / optimized_mae) instead of diffing outputs.
+            assert result["equal_accuracy"], result
+            continue
         # Optimized paths must agree with their baselines.
         assert result["max_abs_diff"] < 1e-8
 

@@ -207,6 +207,36 @@ class NaturalAnnealingEngine:
                 f"cache_capacity must be >= 1, got {self.cache_capacity}"
             )
 
+    @classmethod
+    def _adopt(
+        cls,
+        operator: CouplingOperator,
+        mean: np.ndarray | None,
+        scale: np.ndarray | None,
+        **kwargs,
+    ) -> "NaturalAnnealingEngine":
+        """An engine around an operator another engine already built.
+
+        The sharded paths (:mod:`repro.parallel.engine`) run shards on
+        worker engines that adopt the parent's operator instead of
+        rebuilding it from the dense model.  The adopted model carries
+        the operator's storage as ``J`` — only ``n``, ``h``, ``mean`` and
+        ``scale`` are read from it — and coupler faults are already
+        folded into that storage, so they are never applied again (the
+        ``faults`` scenario still supplies stuck nodes to the simulator).
+        Such an engine must not :meth:`clear_cache` or :meth:`set_faults`:
+        a rebuild would fold the faults in a second time.
+        """
+        model = object.__new__(DSGLModel)
+        model.J = operator._J
+        model.h = operator.h
+        model.mean = mean
+        model.scale = scale
+        model.metadata = {}
+        engine = cls(model=model, **kwargs)
+        engine._operator = operator
+        return engine
+
     # ------------------------------------------------------------------
     # Operator and factorization caches
     # ------------------------------------------------------------------
@@ -465,6 +495,28 @@ class NaturalAnnealingEngine:
         free_index = np.setdiff1d(np.arange(n), observed_index)
         return observed_index, free_index
 
+    def _check_batch(
+        self, observed_index: np.ndarray, observed_values: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Validate a batched observation; ``(index, free, values)``.
+
+        Raises ``ValueError`` for out-of-range or duplicate indices, a
+        values matrix that is not ``(batch, num_observed)``, or a NaN/±Inf
+        value — before any integration, shared-memory or pool work.
+        """
+        observed_index, free_index = self._split_nodes(
+            observed_index, self.model.n
+        )
+        observed_values = np.asarray(observed_values, dtype=float)
+        if observed_values.ndim != 2 or observed_values.shape[1] != observed_index.size:
+            raise ValueError(
+                "observed_values must be (batch, num_observed), got "
+                f"{observed_values.shape}"
+            )
+        if not np.all(np.isfinite(observed_values)):
+            raise ValueError("observed_values contains NaN or infinite values")
+        return observed_index, free_index, observed_values
+
     # ------------------------------------------------------------------
     # Circuit-simulation paths
     # ------------------------------------------------------------------
@@ -567,6 +619,12 @@ class NaturalAnnealingEngine:
 
         Returns:
             :class:`BatchInferenceResult` with per-sample predictions.
+
+        Raises:
+            ValueError: For out-of-range or duplicate observed indices, a
+                values matrix that is not ``(batch, num_observed)``, or a
+                NaN/±Inf value — on both paths, before any integration,
+                shared-memory or pool work.
         """
         if workers is not None:
             if rng is not None:
@@ -582,13 +640,9 @@ class NaturalAnnealingEngine:
             )
         model = self.model
         n = model.n
-        observed_index, free_index = self._split_nodes(observed_index, n)
-        observed_values = np.asarray(observed_values, dtype=float)
-        if observed_values.ndim != 2 or observed_values.shape[1] != observed_index.size:
-            raise ValueError(
-                "observed_values must be (batch, num_observed), got "
-                f"{observed_values.shape}"
-            )
+        observed_index, free_index, observed_values = self._check_batch(
+            observed_index, observed_values
+        )
         batch = observed_values.shape[0]
         rng = rng or np.random.default_rng(self.seed)
 

@@ -4,7 +4,7 @@ Backs ``repro obs summarize PATH``: spans are grouped by name with timing
 totals, numeric span/event attributes are aggregated (sum/mean/min/max),
 and the last embedded metrics snapshot — counters, gauges, histogram
 summaries — is appended, together with the derived LU-cache and DSPU
-propagator-cache hit ratios.
+propagator-cache hit ratios and the worker-pool reuse ratio.
 """
 
 from __future__ import annotations
@@ -233,11 +233,12 @@ def format_metrics(snapshot: dict) -> str:
     """Render a metrics-registry snapshot (counters, gauges, histograms).
 
     Appends derived lines when their counters are present: the LU-cache
-    and DSPU propagator-cache hit ratios, the shared-memory transport
-    summary (bytes shared vs bytes pickled, attach/detach balance), mesh
-    halo-exchange volume, and the
-    annealing-path efficiency of adaptive/early-exit integrations
-    (member-step savings, step acceptance rate).
+    and DSPU propagator-cache hit ratios, the worker-pool reuse ratio
+    (pooled calls served by an already running pool), the shared-memory
+    transport summary (bytes shared vs bytes pickled, attach/detach
+    balance), mesh halo-exchange volume, and the annealing-path
+    efficiency of adaptive/early-exit integrations (member-step savings,
+    step acceptance rate).
     Returns an empty string for an empty snapshot.
     """
     lines: list[str] = []
@@ -273,6 +274,13 @@ def format_metrics(snapshot: dict) -> str:
     rate = _cache_hit_rate(counters, "dspu.propagator_cache")
     if rate is not None:
         derived.append(f"propagator cache hit ratio: {100.0 * rate:.1f}%")
+    starts = counters.get("parallel.pool_starts") or 0
+    reuses = counters.get("parallel.pool_reuses") or 0
+    if starts or reuses:
+        derived.append(
+            f"pool reuse ratio: {100.0 * reuses / (starts + reuses):.1f}% "
+            f"({starts} starts, {reuses} reuses)"
+        )
     derived.extend(_shm_transport_lines(counters))
     derived.extend(_adaptive_path_lines(counters))
     if derived:

@@ -18,13 +18,15 @@ bit-for-bit identical for any worker count.**  Three rules deliver it:
    (:func:`parallel_map`), so per-shard floating-point arithmetic is
    byte-identical either way.
 
-Task transport is zero-copy where the platform allows: problem arrays
-and result slabs live in ``multiprocessing.shared_memory`` blocks owned
-by a :class:`~repro.parallel.shm.SharedArena`, and tasks pickle
-``(name, shape, dtype)`` descriptors instead of the arrays (see
-:mod:`repro.parallel.shm`).  The transport never changes result bits —
-the same shard functions run on the same values — only how many bytes
-each task serializes.
+One transport and one pool serve every sharded path.  Problem arrays —
+including the parent's already-built coupling operator — and result
+slabs live in ``multiprocessing.shared_memory`` blocks owned by a
+:class:`~repro.parallel.shm.SharedArena`; tasks pickle ``(name, shape,
+dtype)`` descriptors instead of arrays and return at most a few scalars
+(see :mod:`repro.parallel.shm`).  Where named shared memory is
+unavailable the same shards run serially in-process.  Pooled calls run
+on one persistent, lazily started process pool that is reused across
+calls and shut down at exit (see :mod:`repro.parallel.pool`).
 
 Worker metrics and trace records merge back into the parent
 :mod:`repro.obs` sinks (see ``obs.capture_worker_state`` /
@@ -40,14 +42,13 @@ from .pool import (
     resolve_num_shards,
     resolve_start_method,
     shard_slices,
+    shutdown_pool,
     spawn_seeds,
-    worker_pool,
 )
 from .shm import (
     SharedArena,
     SharedArray,
     SharedCSR,
-    SharedModel,
     SharedOperator,
     pickled_bytes,
     shm_available,
@@ -62,7 +63,6 @@ __all__ = [
     "SharedArena",
     "SharedArray",
     "SharedCSR",
-    "SharedModel",
     "SharedOperator",
     "anneal_mesh",
     "expected_record_count",
@@ -78,6 +78,6 @@ __all__ = [
     "shard_task_bytes",
     "shm_available",
     "shm_residue",
+    "shutdown_pool",
     "spawn_seeds",
-    "worker_pool",
 ]

@@ -3,10 +3,14 @@
 A :class:`~repro.core.inference.NaturalAnnealingEngine` cannot cross a
 process boundary directly — its memoized :class:`ReducedSystem` cache
 holds SuperLU factor objects and solver closures that do not pickle.
-:class:`EngineSpec` captures the picklable construction arguments instead;
-each worker rebuilds a fresh engine (and re-derives operator and caches)
-from the spec.  Rebuilding is deterministic, so worker-side results match
-what the same shard computes in-process.
+:class:`EngineSpec` ships what a shard needs instead: the parent's
+already-built coupling operator (through shared memory, see
+:class:`~repro.parallel.shm.SharedOperator`), the model's normalization
+arrays, and the engine's settings.  Each worker adopts that operator
+(:meth:`NaturalAnnealingEngine._adopt`) rather than rebuilding it from
+the dense model, so no worker repeats the parent's symmetry check or
+dense-to-CSR conversion, and adoption is exact, so worker-side results
+match what the same shard computes in-process.
 
 Per-shard randomness follows the same rule as the circuit layer: shard
 ``i`` draws initialization (and integration noise) from
@@ -14,8 +18,8 @@ Per-shard randomness follows the same rule as the circuit layer: shard
 pure function of ``(root_seed, shard decomposition)`` — never of worker
 count.  One semantic difference from the legacy joint path is inherent:
 with ``coupling_noise_std > 0`` each shard samples its own perturbed
-coupling matrix, i.e. shards model *independent device realizations*
-rather than one shared chip.
+coupling matrix from the adopted operator, i.e. shards model
+*independent device realizations* rather than one shared chip.
 """
 
 from __future__ import annotations
@@ -30,25 +34,32 @@ from ..core.inference import (
     BatchInferenceResult,
     NaturalAnnealingEngine,
 )
-from ..core.dynamics import BatchTrajectory
-from .circuit import expected_record_count
+from .circuit import (
+    reassemble,
+    record_slabs,
+    variable_records,
+    write_shard_trajectory,
+)
 from .pool import parallel_map, resolve_num_shards, shard_slices, spawn_seeds
-from .shm import SharedArena, SharedModel, shm_available
+from .shm import SharedArena, SharedArray, SharedOperator
 
 __all__ = ["EngineSpec", "infer_batch_sharded", "restart_fanout"]
 
 
 @dataclass(frozen=True)
 class EngineSpec:
-    """Picklable recipe for rebuilding an engine inside a worker.
+    """Picklable recipe for an engine inside a worker.
 
-    Carries exactly the engine's construction arguments (the controller is
-    omitted — neither ``infer_batch`` nor the restart policy consults it);
-    the unpicklable operator/factorization caches are rebuilt lazily by
-    the fresh engine.
+    Carries the parent's built operator as a shared-memory descriptor,
+    the model's ``mean``/``scale`` (shared, or ``None``) and the engine's
+    settings (the controller is omitted — neither ``infer_batch`` nor the
+    restart policy consults it).  The dense coupling matrix never
+    travels: a task pickles in O(1) of the model size.
     """
 
-    model: object
+    operator: SharedOperator
+    mean: SharedArray | None
+    scale: SharedArray | None
     config: object
     seed: int
     backend: str
@@ -57,17 +68,14 @@ class EngineSpec:
 
     @classmethod
     def from_engine(
-        cls, engine: NaturalAnnealingEngine, arena: SharedArena | None = None
+        cls, engine: NaturalAnnealingEngine, arena: SharedArena
     ) -> "EngineSpec":
-        """Capture an engine's recipe, optionally with a shared model.
-
-        With an ``arena``, the model's arrays go into shared memory and the
-        spec carries only a :class:`~repro.parallel.shm.SharedModel`
-        descriptor — the spec then pickles in O(1) of the model size.
-        """
-        model = engine.model if arena is None else arena.share_model(engine.model)
+        """Capture an engine's built operator and settings into ``arena``."""
+        model = engine.model
         return cls(
-            model=model,
+            operator=arena.share_operator(engine.operator),
+            mean=None if model.mean is None else arena.share(model.mean),
+            scale=None if model.scale is None else arena.share(model.scale),
             config=engine.config,
             seed=engine.seed,
             backend=engine.backend,
@@ -76,11 +84,11 @@ class EngineSpec:
         )
 
     def build(self) -> NaturalAnnealingEngine:
-        model = self.model
-        if isinstance(model, SharedModel):
-            model = model.model()
-        return NaturalAnnealingEngine(
-            model=model,
+        """A worker engine adopting the shared operator."""
+        return NaturalAnnealingEngine._adopt(
+            self.operator.operator(),
+            None if self.mean is None else self.mean.array,
+            None if self.scale is None else self.scale.array,
             config=self.config,
             seed=self.seed,
             backend=self.backend,
@@ -91,69 +99,43 @@ class EngineSpec:
 
 def _infer_shard(
     spec: EngineSpec,
-    observed_index: np.ndarray,
-    values_slice: np.ndarray,
-    duration: float,
-    seed: np.random.SeedSequence,
-) -> tuple:
-    """Run one batch slice on a freshly rebuilt engine."""
-    engine = spec.build()
-    with obs.tracer().span(
-        "engine.shard", batch=int(values_slice.shape[0])
-    ):
-        result = engine.infer_batch(
-            observed_index,
-            values_slice,
-            duration=duration,
-            rng=np.random.default_rng(seed),
-        )
-    trajectory = result.trajectory
-    return (
-        result.predictions,
-        result.states,
-        trajectory.times,
-        trajectory.states,
-        trajectory.energies,
-    )
-
-
-def _infer_shard_shm(
-    spec: EngineSpec,
-    observed_index: np.ndarray,
+    index_shared,
     values_shared,
     start: int,
     stop: int,
     duration: float,
     seed: np.random.SeedSequence,
     predictions_out,
-    states_out,
     times_out,
-    traj_states_out,
-    traj_energies_out,
-) -> None:
-    """Shared-memory variant of :func:`_infer_shard`.
+    states_out,
+    energies_out,
+) -> float:
+    """Run one batch slice on a worker engine; returns its finish time.
 
-    The spec's model and the observed-value matrix arrive as descriptors;
-    results land in the preallocated slabs — nothing problem-sized crosses
-    the pickle channel in either direction.
+    The observed indices and values arrive as descriptors and the results
+    land in the preallocated slabs — nothing problem-sized crosses the pickle
+    channel in either direction.
     """
     engine = spec.build()
     with obs.tracer().span(
         "engine.shard", batch=stop - start, start=start, stop=stop
     ):
         result = engine.infer_batch(
-            observed_index,
+            index_shared.array,
             values_shared.array[start:stop],
             duration=duration,
             rng=np.random.default_rng(seed),
         )
     predictions_out.array[start:stop] = result.predictions
-    states_out.array[start:stop] = result.states
-    trajectory = result.trajectory
-    traj_states_out.array[:, start:stop, :] = trajectory.states
-    traj_energies_out.array[:, start:stop] = trajectory.energies
-    if start == 0:
-        times_out.array[...] = trajectory.times
+    return write_shard_trajectory(
+        result.trajectory,
+        variable_records(spec.config),
+        start,
+        stop,
+        times_out,
+        states_out,
+        energies_out,
+    )
 
 
 def infer_batch_sharded(
@@ -165,126 +147,68 @@ def infer_batch_sharded(
     root_seed: int | np.random.SeedSequence | None = None,
     workers: int = 1,
     shards: int | None = None,
-    shm: bool | None = None,
 ) -> BatchInferenceResult:
     """Shard :meth:`NaturalAnnealingEngine.infer_batch` across workers.
 
     Args:
         engine: The engine whose model/config/backend/faults apply.
-        observed_index / observed_values / duration: As in ``infer_batch``.
+        observed_index / observed_values / duration: As in ``infer_batch``
+            (validated here, before any shared-memory or pool work).
         root_seed: Root of the per-shard seed tree; defaults to
             ``engine.seed``.
         workers: Process count (1 = same shards, serial, identical bits).
         shards: Shard count, independent of ``workers``.
-        shm: Transport selector — ``None`` auto-selects shared memory when
-            available, ``False`` forces the legacy pickled transport,
-            ``True`` requires shared memory.  Transport never changes
-            output bits (same shards, same seeds, same arithmetic).
 
     Returns:
-        The reassembled :class:`BatchInferenceResult`.
+        The reassembled :class:`BatchInferenceResult`.  Fixed-step
+        configs keep the full recorded grid; adaptive/early-exit configs
+        reassemble to the two-frame trajectory described in
+        :func:`repro.parallel.circuit.run_batch_sharded`, and report the
+        latest shard finish time as ``annealing_time_ns``.
     """
-    values = np.asarray(observed_values, dtype=float)
-    if values.ndim != 2:
-        raise ValueError(
-            f"observed_values must be (batch, num_observed), got {values.shape}"
-        )
+    observed_index, free_index, values = engine._check_batch(
+        observed_index, observed_values
+    )
     batch = values.shape[0]
     if batch == 0:
         raise ValueError("cannot shard an empty batch")
-    variable_records = bool(
-        getattr(engine.config, "adaptive", False)
-        or getattr(engine.config, "early_exit", False)
-    )
-    if shm is True and not shm_available():
-        raise RuntimeError("shared memory is unavailable on this platform")
-    if shm is True and variable_records:
-        raise RuntimeError(
-            "shared-memory transport requires a fixed record count; "
-            "adaptive/early-exit configs must use shm=False or shm=None"
-        )
-    use_shm = (shm_available() if shm is None else bool(shm)) and not variable_records
+    n = engine.model.n
     num_shards = resolve_num_shards(batch, shards)
     slices = shard_slices(batch, num_shards)
     seeds = spawn_seeds(
         engine.seed if root_seed is None else root_seed, num_shards
     )
-    if not use_shm:
-        spec = EngineSpec.from_engine(engine)
-        tasks = [
-            (spec, observed_index, values[part], duration, seed)
-            for part, seed in zip(slices, seeds)
-        ]
-        parts = parallel_map(_infer_shard, tasks, workers)
-        if variable_records:
-            # Adaptive/early-exit shards record data-dependent time grids;
-            # keep the (initial, final) frames (see
-            # repro.parallel.circuit.run_batch_sharded).
-            final_t = max(float(p[2][-1]) for p in parts)
-            trajectory = BatchTrajectory(
-                times=np.array([0.0, final_t]),
-                states=np.concatenate(
-                    [np.stack([p[3][0], p[3][-1]]) for p in parts], axis=1
-                ),
-                energies=np.concatenate(
-                    [np.stack([p[4][0], p[4][-1]]) for p in parts], axis=1
-                ),
-            )
-            annealed = final_t
-        else:
-            trajectory = BatchTrajectory(
-                times=parts[0][2],
-                states=np.concatenate([p[3] for p in parts], axis=1),
-                energies=np.concatenate([p[4] for p in parts], axis=1),
-            )
-            annealed = duration
-        return BatchInferenceResult(
-            predictions=np.concatenate([p[0] for p in parts], axis=0),
-            states=np.concatenate([p[1] for p in parts], axis=0),
-            trajectory=trajectory,
-            annealing_time_ns=annealed,
-        )
-
-    n = engine.model.n
-    index = np.asarray(observed_index, dtype=int).reshape(-1)
-    num_free = np.setdiff1d(np.arange(n), index).size
     with SharedArena(tag="infer") as arena:
         spec = EngineSpec.from_engine(engine, arena)
+        index_shared = arena.share(observed_index)
         values_shared = arena.share(values)
-        T = expected_record_count(engine.config, duration)
-        predictions_out = arena.empty((batch, num_free))
-        states_out = arena.empty((batch, n))
-        times_out = arena.empty((T,))
-        traj_states_out = arena.empty((T, batch, n))
-        traj_energies_out = arena.empty((T, batch))
+        predictions_out = arena.empty((batch, free_index.size))
+        slabs = record_slabs(arena, engine.config, duration, batch, n)
         tasks = [
             (
                 spec,
-                observed_index,
+                index_shared,
                 values_shared,
                 part.start,
                 part.stop,
                 duration,
                 seed,
                 predictions_out,
-                states_out,
-                times_out,
-                traj_states_out,
-                traj_energies_out,
+                *slabs,
             )
             for part, seed in zip(slices, seeds)
         ]
-        parallel_map(_infer_shard_shm, tasks, workers)
-        trajectory = BatchTrajectory(
-            times=times_out.array.copy(),
-            states=traj_states_out.array.copy(),
-            energies=traj_energies_out.array.copy(),
-        )
+        finish = parallel_map(_infer_shard, tasks, arena.workers(workers))
+        trajectory = reassemble(engine.config, finish, *slabs)
         return BatchInferenceResult(
             predictions=predictions_out.array.copy(),
-            states=states_out.array.copy(),
+            states=trajectory.final_states,
             trajectory=trajectory,
-            annealing_time_ns=duration,
+            annealing_time_ns=(
+                float(trajectory.times[-1])
+                if variable_records(engine.config)
+                else duration
+            ),
         )
 
 
@@ -353,10 +277,10 @@ def restart_fanout(
     outcome is independent of worker count.  Interpretation of the result
     dicts is up to :class:`~repro.faults.resilience.RestartPolicy`.
 
-    The model ships through shared memory when available (per-restart
-    predictions are small and return by pickle as before).  Raises
-    ``ValueError`` for an empty fan-out — same contract as the empty-batch
-    checks in :func:`run_batch_sharded` / :func:`infer_batch_sharded`.
+    The built operator ships through shared memory (per-restart
+    predictions are small and return by pickle).  Raises ``ValueError``
+    for an empty fan-out — same contract as the empty-batch checks in
+    :func:`run_batch_sharded` / :func:`infer_batch_sharded`.
     """
     if restarts < 1:
         raise ValueError("cannot fan out an empty restart pool")
@@ -365,9 +289,7 @@ def restart_fanout(
     slices = shard_slices(restarts, num_shards)
     seeds = spawn_seeds(root_seed, num_shards)
     with SharedArena(tag="restart") as arena:
-        spec = EngineSpec.from_engine(
-            engine, arena if shm_available() else None
-        )
+        spec = EngineSpec.from_engine(engine, arena)
         tasks = [
             (
                 spec,
@@ -380,4 +302,7 @@ def restart_fanout(
             )
             for part, seed in zip(slices, seeds)
         ]
-        return parallel_map(_restart_shard, tasks, workers), slices
+        return (
+            parallel_map(_restart_shard, tasks, arena.workers(workers)),
+            slices,
+        )

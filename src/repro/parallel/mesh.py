@@ -45,13 +45,7 @@ from scipy import sparse as sp
 
 from .. import obs
 from ..decompose.community import louvain_communities
-from .pool import (
-    DEFAULT_SHARDS,
-    parallel_map,
-    resolve_num_shards,
-    shard_slices,
-    worker_pool,
-)
+from .pool import DEFAULT_SHARDS, parallel_map, resolve_num_shards, shard_slices
 from .shm import SharedArena
 
 __all__ = ["MeshPartition", "MeshResult", "anneal_mesh", "partition_mesh"]
@@ -392,8 +386,9 @@ def anneal_mesh(
             larger values hold the halo between exchanges and require
             ``approximate=True``.
         approximate: Acknowledge the zero-order-hold approximation.
-        workers: Worker processes; the pool is reused across rounds.
-            Results are bit-for-bit identical for every worker count.
+        workers: Worker processes (every round runs on the persistent
+            pool).  Results are bit-for-bit identical for every worker
+            count.
 
     Returns:
         A :class:`MeshResult` with the final state.
@@ -469,7 +464,15 @@ def anneal_mesh(
         buffers = [arena.empty((n,)), arena.empty((n,))]
         buffers[0].array[...] = state
 
-        def run_rounds(map_pool) -> int:
+        map_workers = arena.workers(workers)
+        with obs.tracer().span(
+            "mesh.anneal",
+            n=n,
+            shards=num_shards,
+            rounds=rounds,
+            workers=workers,
+            exchange_every=exchange_every,
+        ):
             steps_left = n_steps
             parity = 0
             for round_index in range(rounds):
@@ -494,26 +497,9 @@ def anneal_mesh(
                 with obs.tracer().span(
                     "mesh.round", round=round_index, steps=steps
                 ):
-                    parallel_map(
-                        _mesh_shard_round, tasks, workers, pool=map_pool
-                    )
+                    parallel_map(_mesh_shard_round, tasks, map_workers)
                 steps_left -= steps
                 parity = 1 - parity
-            return parity
-
-        with obs.tracer().span(
-            "mesh.anneal",
-            n=n,
-            shards=num_shards,
-            rounds=rounds,
-            workers=workers,
-            exchange_every=exchange_every,
-        ):
-            if workers > 1 and num_shards > 1:
-                with worker_pool(workers, num_shards) as map_pool:
-                    parity = run_rounds(map_pool)
-            else:
-                parity = run_rounds(None)
         final = buffers[parity].array.copy()
 
     return MeshResult(

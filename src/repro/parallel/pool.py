@@ -10,10 +10,19 @@ Three primitives keep the parallel layer seed-deterministic:
 * :func:`spawn_seeds` — per-shard RNG seeds derived from
   ``(root_seed, shard_index)`` via :meth:`numpy.random.SeedSequence.spawn`,
   the collision-resistant derivation NumPy designed for exactly this.
-* :func:`parallel_map` — ordered fan-out over a ``fork`` process pool
-  (falling back to ``spawn`` where fork is unavailable).  ``workers=1``
+* :func:`parallel_map` — ordered fan-out over one persistent process
+  pool (``fork`` where available, ``spawn`` otherwise).  ``workers=1``
   runs the same task functions serially in-process, which is what the
   equivalence suite in ``tests/parallel/`` pins against.
+
+The pool is created lazily by the first call that needs it and reused by
+every later call with the same ``(start method, workers)`` key; a call
+with a different key shuts it down and starts a new one, and an exit
+handler shuts it down with the interpreter.  It is a
+:class:`concurrent.futures.ProcessPoolExecutor`, which never respawns a
+dead worker: a pool whose workers were terminated from outside (as a
+benchmark's reaper does) is found broken by the next call and replaced,
+instead of repopulating itself behind the reaper's back.
 
 Observability crosses the process boundary explicitly: workers drop the
 sinks they inherited on fork (see :func:`repro.obs.worker_reset` — closing
@@ -24,10 +33,14 @@ result back with each task's return value for the parent to merge.
 
 from __future__ import annotations
 
+import atexit
 import multiprocessing
 import os
 import pickle
-from contextlib import contextmanager
+import threading
+import time
+from concurrent.futures import ProcessPoolExecutor, wait
+from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, Sequence
 
 import numpy as np
@@ -41,8 +54,8 @@ __all__ = [
     "resolve_num_shards",
     "resolve_start_method",
     "shard_slices",
+    "shutdown_pool",
     "spawn_seeds",
-    "worker_pool",
 ]
 
 #: Default shard count when the caller does not pin one.  Fixed (never
@@ -61,7 +74,8 @@ def resolve_start_method() -> str:
 
     ``fork`` where available (cheap, inherits the parent image), ``spawn``
     otherwise; :data:`START_METHOD_ENV` overrides either way.  Resolved
-    per call, not at import, so tests and CI can flip it at runtime.
+    per call, not at import, so tests and CI can flip it at runtime (the
+    persistent pool is keyed by it and restarts when it changes).
     """
     requested = os.environ.get(START_METHOD_ENV)
     available = multiprocessing.get_all_start_methods()
@@ -157,21 +171,67 @@ def _call_task(payload: tuple) -> tuple:
     return result, state
 
 
-@contextmanager
-def worker_pool(workers: int, num_tasks: int | None = None):
-    """A reusable process pool for repeated ``parallel_map`` rounds.
+#: The persistent pool and the ``(start method, workers)`` key it serves.
+#: The lock keeps one thread from replacing the pool while another thread
+#: still waits on it.
+_POOL: ProcessPoolExecutor | None = None
+_POOL_KEY: tuple[str, int] | None = None
+_POOL_LOCK = threading.RLock()
 
-    Iterative fan-outs (the halo-exchange mesh integrator runs one map per
-    exchange round) would otherwise pay pool startup per round; pass the
-    yielded pool back via ``parallel_map(..., pool=...)``.
+
+def _pool_usable(pool: ProcessPoolExecutor) -> bool:
+    """Whether ``pool`` can take work: not broken and every worker alive.
+
+    A worker killed from outside is only noticed by the executor's
+    management thread some time later; checking the processes directly
+    makes the next call see it deterministically.
     """
-    workers = int(workers)
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    processes = workers if num_tasks is None else min(workers, num_tasks)
-    context = multiprocessing.get_context(resolve_start_method())
-    with context.Pool(processes=processes, initializer=_worker_init) as pool:
-        yield pool
+    if getattr(pool, "_broken", False):
+        return False
+    processes = getattr(pool, "_processes", None) or {}
+    return all(process.is_alive() for process in processes.values())
+
+
+def shutdown_pool() -> None:
+    """Shut the persistent pool down (idempotent; also runs at exit).
+
+    Waits for its workers to exit, so no child process outlives the call.
+    """
+    global _POOL, _POOL_KEY
+    with _POOL_LOCK:
+        pool, _POOL, _POOL_KEY = _POOL, None, None
+        if pool is not None:
+            pool.shutdown(wait=True, cancel_futures=True)
+
+
+def _forget_pool_in_child() -> None:
+    """A forked child owns none of its parent's pool (nor its held lock)."""
+    global _POOL, _POOL_KEY, _POOL_LOCK
+    _POOL, _POOL_KEY, _POOL_LOCK = None, None, threading.RLock()
+
+
+atexit.register(shutdown_pool)
+if hasattr(os, "register_at_fork"):  # POSIX only; nothing forks elsewhere
+    os.register_at_fork(after_in_child=_forget_pool_in_child)
+
+
+def _acquire_pool(workers: int) -> tuple[ProcessPoolExecutor, bool]:
+    """The persistent pool for this call and whether it was just created."""
+    global _POOL, _POOL_KEY
+    key = (resolve_start_method(), workers)
+    if _POOL is not None and (_POOL_KEY != key or not _pool_usable(_POOL)):
+        shutdown_pool()
+    if _POOL is not None:
+        obs.metrics().counter("parallel.pool_reuses").inc()
+        return _POOL, False
+    _POOL = ProcessPoolExecutor(
+        max_workers=workers,
+        mp_context=multiprocessing.get_context(key[0]),
+        initializer=_worker_init,
+    )
+    _POOL_KEY = key
+    obs.metrics().counter("parallel.pool_starts").inc()
+    return _POOL, True
 
 
 def _account_pickled(payloads: list) -> None:
@@ -192,8 +252,6 @@ def parallel_map(
     fn: Callable,
     tasks: Sequence[tuple],
     workers: int | None = 1,
-    *,
-    pool=None,
 ) -> list:
     """``[fn(*task) for task in tasks]``, fanned out over ``workers``.
 
@@ -202,14 +260,16 @@ def parallel_map(
     function, same order, so parallel and serial runs are bit-for-bit
     interchangeable.  ``fn`` and every task argument must be picklable
     (``fn`` must be a module-level callable or bound method of one).
-    Passing a :func:`worker_pool` via ``pool`` reuses its processes
-    instead of creating a fresh pool (the serial shortcut still applies).
+    Pooled calls run on the persistent pool (see the module docstring);
+    the first call pays its start-up, later calls reuse its workers.
 
     When the parent has observability enabled, each worker task collects
     metrics/trace records locally and the parent merges them back (in
     task order) into the live :mod:`repro.obs` sinks; the parent also
     records per-task pickled payload sizes (``parallel.bytes_pickled``),
-    the quantity the shared-memory descriptors exist to shrink.
+    the quantity the shared-memory descriptors exist to shrink, and the
+    pool's lifecycle (``parallel.pool_starts`` / ``parallel.pool_reuses``
+    counters, ``parallel.pool_start_ms`` histogram).
     """
     workers = 1 if workers is None else int(workers)
     if workers < 1:
@@ -248,15 +308,25 @@ def parallel_map(
         ]
         if collect:
             _account_pickled(payloads)
-        if pool is not None:
-            outputs = pool.map(_call_task, payloads, chunksize=1)
-        else:
-            context = multiprocessing.get_context(resolve_start_method())
-            processes = min(workers, len(tasks))
-            with context.Pool(
-                processes=processes, initializer=_worker_init
-            ) as fresh:
-                outputs = fresh.map(_call_task, payloads, chunksize=1)
+        with _POOL_LOCK:
+            started = time.perf_counter()
+            pool, fresh = _acquire_pool(workers)
+            try:
+                futures = [pool.submit(_call_task, p) for p in payloads]
+                if fresh:
+                    # Submitting launches the new pool's workers.
+                    obs.metrics().histogram("parallel.pool_start_ms").observe(
+                        (time.perf_counter() - started) * 1e3
+                    )
+                # Wait for every task before reading any result, so no
+                # task of this call still runs (or touches its shared
+                # blocks) after a failure has been raised.
+                wait(futures)
+                outputs = [future.result() for future in futures]
+            except BrokenProcessPool:
+                # A worker died mid-call; the next call starts a new pool.
+                shutdown_pool()
+                raise
         results = []
         for result, state in outputs:
             if state is not None:

@@ -1,13 +1,7 @@
 """Zero-copy shared-memory substrate for the parallel layer.
 
-The PR-4 process pool pickles every shard task whole: a sharded batched
-inference re-serializes the coupling matrix (inside the ``drift`` bound
-method or the :class:`~repro.parallel.engine.EngineSpec` model) once per
-shard, and every worker pickles its trajectory back.  That is
-``O(shards x problem size)`` serialization and transient memory — the
-exact scaling wall the ROADMAP's big-n item names.
-
-This module replaces both directions with ``multiprocessing.shared_memory``:
+Shared memory is the only way problem-sized data crosses a process
+boundary in :mod:`repro.parallel`:
 
 * :class:`SharedArray` / :class:`SharedCSR` place ndarrays (and CSR
   triplets) in named shared-memory blocks.  They **pickle as a
@@ -17,13 +11,25 @@ This module replaces both directions with ``multiprocessing.shared_memory``:
   It is a context manager: blocks are unlinked on exit, including the
   error path, so a worker crash mid-shard leaves no ``/dev/shm`` residue
   (pinned by ``tests/parallel/test_shm.py``).
-* :class:`SharedOperator` / :class:`SharedModel` are zero-copy recipes
-  for rebuilding a :class:`~repro.core.operators.CouplingOperator` or
-  :class:`~repro.core.model.DSGLModel` inside a worker *around the shared
-  buffers* — no copy, no re-validation (the parent already validated).
+* :class:`SharedOperator` is a zero-copy recipe for adopting the parent's
+  already-built :class:`~repro.core.operators.CouplingOperator` inside a
+  worker *around the shared buffers* — no copy, no re-validation, no
+  dense-to-CSR conversion (the parent already did all three).
 * Result slabs: callers preallocate output arrays through
   :meth:`SharedArena.empty` and workers write their shard's slice instead
   of returning pickled arrays.
+
+Where named shared memory is unavailable, an arena hands out
+process-local arrays with the same ``.array`` interface
+(:attr:`SharedArena.shared` is then ``False``) and callers run their
+shards serially in-process — the same shard functions on the same
+values, so the bits do not change.
+
+Every view a worker attached is closed when its task ends
+(:func:`detach_task_attachments`, called by the pool's task wrapper): a
+persistent pool worker must neither keep blocks the parent is about to
+unlink mapped nor hold one file descriptor per finished task.  Closing
+unmaps the block, so nothing a task returns may be a view into one.
 
 Resource-tracker note: on Python < 3.13 every ``SharedMemory`` *attach*
 also registers the block with the resource tracker (cpython#82300).  All
@@ -55,10 +61,10 @@ from .. import obs
 
 __all__ = [
     "SHM_PREFIX",
+    "LocalArray",
     "SharedArena",
     "SharedArray",
     "SharedCSR",
-    "SharedModel",
     "SharedOperator",
     "SharedOperatorMethod",
     "detach_task_attachments",
@@ -191,6 +197,29 @@ class SharedArray:
         self._array = view
 
 
+class LocalArray:
+    """Process-local stand-in for :class:`SharedArray` (no shared memory).
+
+    Handed out by a :class:`SharedArena` whose platform lacks named
+    shared memory; exposes the same ``.array`` so shard functions run
+    unchanged, serially, in the owning process.
+    """
+
+    __slots__ = ("name", "array")
+
+    def __init__(self, array: np.ndarray):
+        self.name = f"local-{secrets.token_hex(6)}"
+        self.array = array
+
+    @property
+    def shape(self) -> tuple:
+        return self.array.shape
+
+    @property
+    def nbytes(self) -> int:
+        return self.array.nbytes
+
+
 class SharedCSR:
     """A CSR matrix as three shared blocks plus a shape.
 
@@ -237,9 +266,10 @@ class SharedOperator:
     """Zero-copy recipe for a :class:`CouplingOperator` in a worker.
 
     Carries the storage backend plus shared ``J`` (dense block or CSR
-    triplet) and ``h``; :meth:`operator` rebuilds the operator around the
-    shared views without re-validating (the parent's operator already
-    passed construction).
+    triplet) and ``h`` of an operator the parent already built;
+    :meth:`operator` adopts it around the shared views without
+    re-validating (the parent's operator already passed construction,
+    including any coupler faults folded into ``J``).
     """
 
     __slots__ = ("backend", "J", "h", "symmetric", "density", "_operator")
@@ -259,7 +289,7 @@ class SharedOperator:
         )
 
     def operator(self):
-        """The rebuilt :class:`CouplingOperator` (cached per process)."""
+        """The adopted :class:`CouplingOperator` (cached per process)."""
         if self._operator is None:
             from ..core.operators import CouplingOperator
 
@@ -297,58 +327,6 @@ class SharedOperatorMethod:
         return getattr(self.shared.operator(), self.method)(*args, **kwargs)
 
 
-class SharedModel:
-    """Zero-copy recipe for a :class:`~repro.core.model.DSGLModel`.
-
-    The rebuilt model's arrays are read-only views into the parent's
-    blocks — sharing a model across workers is only sound because nothing
-    downstream mutates it, and the read-only flag turns any violation
-    into an immediate error instead of silent cross-worker corruption.
-    """
-
-    __slots__ = ("J", "h", "mean", "scale", "metadata", "_model")
-
-    def __init__(
-        self,
-        J: SharedArray,
-        h: SharedArray,
-        mean: SharedArray | None,
-        scale: SharedArray | None,
-        metadata: dict,
-    ):
-        self.J = J
-        self.h = h
-        self.mean = mean
-        self.scale = scale
-        self.metadata = metadata
-        self._model = None
-
-    def __reduce__(self):
-        return (
-            SharedModel,
-            (self.J, self.h, self.mean, self.scale, self.metadata),
-        )
-
-    def model(self):
-        """The rebuilt :class:`DSGLModel` (cached per process).
-
-        Construction bypasses ``__post_init__`` — symmetrization and
-        validation already ran in the parent, and re-running them would
-        copy the coupling matrix, defeating the zero-copy transport.
-        """
-        if self._model is None:
-            from ..core.model import DSGLModel
-
-            model = object.__new__(DSGLModel)
-            model.J = self.J.array
-            model.h = self.h.array
-            model.mean = None if self.mean is None else self.mean.array
-            model.scale = None if self.scale is None else self.scale.array
-            model.metadata = dict(self.metadata)
-            self._model = model
-        return self._model
-
-
 class SharedArena:
     """Owner of a family of shared-memory blocks (context manager).
 
@@ -356,6 +334,13 @@ class SharedArena:
     which the ``with`` statement reaches on success *and* on error — so a
     raising worker, a failed map, or an exception between share and run
     can never strand a block in ``/dev/shm``.
+
+    Attributes:
+        shared: Whether the arena's arrays live in named shared memory.
+            ``False`` where the platform has none: the arena then hands
+            out :class:`LocalArray` handles, which only the owning
+            process can read, so callers must run their shards
+            in-process (``workers=1``).
     """
 
     def __init__(self, tag: str = "arena"):
@@ -363,6 +348,11 @@ class SharedArena:
         self._blocks: list[shared_memory.SharedMemory] = []
         self._operators: dict[int, SharedOperator] = {}
         self._closed = False
+        self.shared = shm_available()
+
+    def workers(self, requested: int | None) -> int | None:
+        """``requested``, or 1 when the arena's arrays are process-local."""
+        return requested if self.shared else 1
 
     def __enter__(self) -> "SharedArena":
         return self
@@ -392,6 +382,10 @@ class SharedArena:
         The one copy here replaces ``shards`` pickled copies downstream.
         """
         array = np.ascontiguousarray(array)
+        if not self.shared:
+            local = array.copy()
+            local.flags.writeable = writable
+            return LocalArray(local)
         block = self._new_block(array.nbytes)
         handle = SharedArray(
             block.name, array.shape, array.dtype, writable=writable
@@ -406,6 +400,8 @@ class SharedArena:
     def empty(self, shape, dtype=float) -> SharedArray:
         """A zero-initialized writable output slab for workers to fill."""
         dtype = np.dtype(dtype)
+        if not self.shared:
+            return LocalArray(np.zeros(shape, dtype=dtype))
         nbytes = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
         block = self._new_block(nbytes)
         handle = SharedArray(block.name, shape, dtype, writable=True)
@@ -439,16 +435,6 @@ class SharedArena:
             )
             self._operators[key] = shared
         return shared
-
-    def share_model(self, model) -> SharedModel:
-        """Share a :class:`DSGLModel`'s arrays (metadata rides along)."""
-        return SharedModel(
-            J=self.share(model.J),
-            h=self.share(model.h),
-            mean=None if model.mean is None else self.share(model.mean),
-            scale=None if model.scale is None else self.share(model.scale),
-            metadata=dict(model.metadata),
-        )
 
     def close(self) -> None:
         """Close the owner views and unlink every block (idempotent)."""

@@ -373,9 +373,7 @@ def bench_parallel_batch(
         **_timed_comparison(lambda: run(1), lambda: run(workers), repeats),
         "max_abs_diff": deviation,
         "bitwise_identical": bool(np.array_equal(serial, parallel)),
-        "task_pickled_bytes_legacy": task_bytes["legacy"],
-        "task_pickled_bytes_shm": task_bytes["shm"],
-        "pickle_reduction": task_bytes["legacy"] / max(task_bytes["shm"], 1),
+        "task_pickled_bytes_shm": task_bytes,
         "peak_rss_mb": _peak_rss_mb(),
     }
 
@@ -391,13 +389,11 @@ def bench_parallel_scaling(
 ) -> dict:
     """Scaling curve of the sharded batch path over (n x shards x workers).
 
-    One row per grid point, each recording wall time of the shared-memory
-    transport, per-task pickled bytes on both transports (the zero-copy
-    win the curve exists to show — legacy payloads grow ~O(n^2 * density
-    + T*n), shm payloads stay O(1) descriptors), and the parent's peak
-    RSS.  Every (n, shards) cell also pins ``max_abs_diff == 0`` between
-    the legacy and shared-memory transports at ``workers=1``, so the
-    curve doubles as a transport-equivalence sweep.
+    One row per grid point, each recording wall time, per-task pickled
+    bytes (shared-memory descriptors, so it must not grow with ``n``), and
+    the parent's peak RSS.  Every row also pins ``max_abs_diff == 0``
+    against the same shards at ``workers=1``, so the curve doubles as a
+    worker-count equivalence sweep.
     """
     import os
 
@@ -424,7 +420,7 @@ def bench_parallel_scaling(
                 energy=operator.energy,
             )
 
-            def run(num_workers: int, use_shm: bool | None) -> np.ndarray:
+            def run(num_workers: int) -> np.ndarray:
                 return run_batch_sharded(
                     simulator,
                     operator.drift,
@@ -434,16 +430,12 @@ def bench_parallel_scaling(
                     workers=num_workers,
                     shards=shards,
                     root_seed=seed + 2,
-                    shm=use_shm,
                 ).final_states
 
-            reference = run(1, False)
-            transport_diff = float(
-                np.max(np.abs(reference - run(1, shm_available() or None)))
-            )
+            reference = run(1)
             for workers in workers_grid:
                 start = time.perf_counter()
-                result = run(workers, None)
+                result = run(workers)
                 elapsed_ms = (time.perf_counter() - start) * 1000.0
                 rows.append(
                     {
@@ -456,11 +448,7 @@ def bench_parallel_scaling(
                         "max_abs_diff": float(
                             np.max(np.abs(reference - result))
                         ),
-                        "task_pickled_bytes_legacy": task_bytes["legacy"],
-                        "task_pickled_bytes_shm": task_bytes["shm"],
-                        "pickle_reduction": task_bytes["legacy"]
-                        / max(task_bytes["shm"], 1),
-                        "transport_max_abs_diff": transport_diff,
+                        "task_pickled_bytes_shm": task_bytes,
                         "peak_rss_mb": _peak_rss_mb(),
                     }
                 )
@@ -627,16 +615,14 @@ def format_bench(payload: dict) -> str:
         if r.get("name") == "parallel_scaling_curve":
             lines.append(
                 f"{'scaling curve':<22s} {'n':>6s} {'shards':>6s} "
-                f"{'workers':>7s} {'ms':>9s} {'pkl legacy':>10s} "
-                f"{'pkl shm':>8s} {'reduction':>9s} {'rss MB':>8s}"
+                f"{'workers':>7s} {'ms':>9s} {'pkl B/task':>10s} "
+                f"{'rss MB':>8s}"
             )
             for row in r["rows"]:
                 lines.append(
                     f"{'':<22s} {row['n']:>6d} {row['shards']:>6d} "
                     f"{row['workers']:>7d} {row['elapsed_ms']:>9.2f} "
-                    f"{row['task_pickled_bytes_legacy']:>10d} "
-                    f"{row['task_pickled_bytes_shm']:>8d} "
-                    f"{row['pickle_reduction']:>8.1f}x "
+                    f"{row['task_pickled_bytes_shm']:>10d} "
                     f"{row['peak_rss_mb']:>8.1f}"
                 )
     return "\n".join(lines)

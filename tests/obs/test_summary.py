@@ -100,6 +100,20 @@ class TestFormatting:
         assert "propagator cache hit ratio: 75.0%" in text
         assert "LU-cache" not in text
 
+    def test_format_metrics_pool_reuse_ratio(self):
+        text = format_metrics(
+            {
+                "counters": {
+                    "parallel.pool_starts": 1,
+                    "parallel.pool_reuses": 19,
+                },
+                "gauges": {},
+                "histograms": {},
+            }
+        )
+        assert "pool reuse ratio: 95.0% (1 starts, 19 reuses)" in text
+        assert "propagator cache" not in text
+
     def test_format_metrics_annealing_path_lines(self):
         text = format_metrics(
             {

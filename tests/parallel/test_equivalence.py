@@ -88,23 +88,25 @@ class TestEngineInference:
         assert _trajectories_equal(serial.trajectory, pooled.trajectory)
 
     @pytest.mark.parametrize("workers", [1, 2, 4])
-    def test_transport_does_not_change_bits(self, engine, workers):
-        """Legacy pickled vs shared-memory task transport: same bits."""
-        from repro.parallel import infer_batch_sharded, shm_available
+    def test_in_process_fallback_does_not_change_bits(
+        self, engine, workers, monkeypatch
+    ):
+        """Without named shared memory the same shards run in-process."""
+        from repro.parallel import infer_batch_sharded, shm
 
-        if not shm_available():
-            pytest.skip("named shared memory unavailable")
         rng = np.random.default_rng(21)
         observed = np.arange(4)
         values = rng.normal(size=(6, 4))
-        run = lambda shm: infer_batch_sharded(  # noqa: E731
+        run = lambda: infer_batch_sharded(  # noqa: E731
             engine, observed, values, duration=5.0,
-            workers=workers, shards=3, shm=shm,
+            workers=workers, shards=3,
         )
-        legacy, shared = run(False), run(True)
-        assert np.array_equal(legacy.predictions, shared.predictions)
-        assert np.array_equal(legacy.states, shared.states)
-        assert _trajectories_equal(legacy.trajectory, shared.trajectory)
+        shared = run()
+        monkeypatch.setattr(shm, "_AVAILABLE", False)
+        local = run()
+        assert np.array_equal(shared.predictions, local.predictions)
+        assert np.array_equal(shared.states, local.states)
+        assert _trajectories_equal(shared.trajectory, local.trajectory)
 
     def test_rng_and_workers_are_mutually_exclusive(self, engine):
         with pytest.raises(ValueError, match="mutually exclusive"):

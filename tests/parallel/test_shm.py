@@ -2,9 +2,9 @@
 
 Covers the descriptor-pickling contract (tasks ship ~100-byte handles, not
 arrays), the arena's lifecycle guarantee (no ``/dev/shm`` residue on
-success *or* error — including a worker raising mid-shard), transport
-equivalence (shm vs legacy pickled results are bit-for-bit identical), and
-the attach/detach observability counters.
+success *or* error — including a worker raising mid-shard), the
+in-process fallback where shared memory is unavailable (same shards, same
+bits), and the attach/detach observability counters.
 """
 
 import pickle
@@ -23,8 +23,9 @@ from repro.parallel import (
     shm_available,
     shm_residue,
 )
+from repro.parallel import shm as shm_module
 from repro.parallel.shm import (
-    SharedArray,
+    LocalArray,
     SharedOperatorMethod,
     detach_task_attachments,
     maybe_share_method,
@@ -174,20 +175,37 @@ class TestArenaLifecycle:
         assert shm_residue() == []
 
 
-class TestTransportEquivalence:
-    """shm and legacy transports run the same shard functions on the same
-    values; the result bits must be indistinguishable."""
+class TestInProcessFallback:
+    """Without named shared memory an arena hands out process-local arrays
+    and the sharded paths run the same shards serially in-process; the
+    result bits must not change."""
 
     @pytest.fixture()
     def batch(self, small_operator):
         rng = np.random.default_rng(3)
         return rng.uniform(-1, 1, size=(9, small_operator.n))
 
+    @pytest.fixture()
+    def no_shm(self, monkeypatch):
+        monkeypatch.setattr(shm_module, "_AVAILABLE", False)
+
+    def test_arena_hands_out_local_arrays(self, no_shm):
+        with SharedArena(tag="t") as arena:
+            assert arena.shared is False
+            assert arena.workers(4) == 1
+            handle = arena.share(np.arange(3.0))
+            slab = arena.empty((2, 2))
+        assert isinstance(handle, LocalArray)
+        assert np.array_equal(handle.array, np.arange(3.0))
+        assert not handle.array.flags.writeable
+        assert slab.array.flags.writeable
+        assert shm_residue() == []
+
     @pytest.mark.parametrize("workers", [1, 2, 4])
-    def test_shm_matches_legacy(
-        self, noisy_simulator, small_operator, batch, workers
+    def test_fallback_matches_shared_memory(
+        self, noisy_simulator, small_operator, batch, workers, monkeypatch
     ):
-        run = lambda shm: run_batch_sharded(  # noqa: E731
+        run = lambda: run_batch_sharded(  # noqa: E731
             noisy_simulator,
             small_operator.drift,
             batch,
@@ -196,26 +214,37 @@ class TestTransportEquivalence:
             workers=workers,
             shards=3,
             root_seed=7,
-            shm=shm,
         )
-        legacy, shared = run(False), run(True)
-        assert np.array_equal(legacy.times, shared.times)
-        assert np.array_equal(legacy.states, shared.states)
-        assert np.array_equal(legacy.energies, shared.energies)
+        shared = run()
+        monkeypatch.setattr(shm_module, "_AVAILABLE", False)
+        with obs.metrics_enabled() as registry:
+            local = run()
+            pooled = registry.counter("parallel.pool_starts").value + (
+                registry.counter("parallel.pool_reuses").value
+            )
+        assert pooled == 0
+        assert np.array_equal(shared.times, local.times)
+        assert np.array_equal(shared.states, local.states)
+        assert np.array_equal(shared.energies, local.energies)
         assert shm_residue() == []
 
-    def test_task_bytes_report_both_transports(
-        self, noisy_simulator, small_operator, batch
-    ):
-        sizes = shard_task_bytes(
-            noisy_simulator,
-            small_operator.drift,
-            batch,
-            2.0,
-            shards=3,
-            energy=small_operator.energy,
-        )
-        assert sizes["shm"] < sizes["legacy"]
+    def test_task_bytes_do_not_grow_with_problem_size(self, noisy_simulator):
+        sizes = []
+        for n in (16, 256):
+            operator = CouplingOperator(
+                np.zeros((n, n)), -np.ones(n), backend="dense"
+            )
+            sigma0 = np.zeros((6, n))
+            sizes.append(
+                shard_task_bytes(
+                    noisy_simulator, operator.drift, sigma0, 2.0,
+                    shards=3, energy=operator.energy,
+                )
+            )
+        # Descriptors only: a 256x larger coupling matrix and 16x larger
+        # state add a few bytes of shape integers, never the data.
+        assert sizes[1] < sizes[0] + 64
+        assert sizes[0] < 4096
         assert shm_residue() == []
 
 
@@ -234,7 +263,6 @@ class TestObsCounters:
                 workers=2,
                 shards=3,
                 root_seed=5,
-                shm=True,
             )
             snapshot = registry.snapshot()
         counters = snapshot["counters"]
@@ -259,7 +287,7 @@ class TestObsCounters:
         with obs.metrics_enabled() as registry:
             run_batch_sharded(
                 noisy_simulator, small_operator.drift, batch,
-                duration=1.0, workers=2, shards=2, root_seed=5, shm=True,
+                duration=1.0, workers=2, shards=2, root_seed=5,
             )
             rendered = format_metrics(registry.snapshot())
         assert "shm transport:" in rendered

@@ -1,10 +1,10 @@
-"""Sharded transport of adaptive / early-exit (variable-record) runs.
+"""Sharded runs of adaptive / early-exit (variable-record) configs.
 
 Adaptive step control and early-exit settling record a data-dependent
-number of frames per shard, so the shared-memory slab transport (which
-must preallocate result heights) is off the table.  These tests pin the
-contract: such configs force the legacy transport, reassemble to a
-two-frame trajectory whose ``final_states`` are exact, and stay
+number of frames per shard, so no slab can hold the full grid.  These
+tests pin the contract: such shards write a two-frame slab (initial and
+final states and energies) and return only their finish time, the
+reassembled trajectory's ``final_states`` are exact, and results stay
 invariant across worker counts and pool start methods.
 """
 
@@ -16,7 +16,7 @@ import pytest
 from repro.core.dynamics import CircuitSimulator, IntegrationConfig
 from repro.core.operators import CouplingOperator
 from repro.parallel.circuit import expected_record_count, run_batch_sharded
-from repro.parallel.pool import START_METHOD_ENV
+from repro.parallel.pool import START_METHOD_ENV, shard_slices, spawn_seeds
 
 
 @pytest.fixture(scope="module")
@@ -107,15 +107,36 @@ class TestTwoFrameReassembly:
         )
         assert np.array_equal(reference.final_states, pooled.final_states)
 
-    def test_shm_transport_refused(self, operator, sigma0):
-        config = IntegrationConfig(
-            dt=0.05, early_exit=True, settle_tolerance=1e-9
-        )
+    @pytest.mark.parametrize("config", VARIABLE_CONFIGS)
+    def test_two_frame_slab_matches_per_shard_runs(
+        self, config, operator, sigma0
+    ):
+        """Bit for bit, the slab holds each shard's first and last frames
+        and the time axis ends at the latest shard finish time."""
         simulator = CircuitSimulator(config=config)
-        with pytest.raises(RuntimeError, match="shared-memory"):
-            run_batch_sharded(
-                simulator, operator.drift, sigma0, 10.0,
-                workers=1, shards=2, shm=True,
+        sharded = run_batch_sharded(
+            simulator, operator.drift, sigma0, 50.0,
+            energy=operator.energy, workers=2, shards=3, root_seed=4,
+        )
+        slices = shard_slices(sigma0.shape[0], 3)
+        parts = [
+            CircuitSimulator(
+                config=config, rng=np.random.default_rng(seed)
+            ).run_batch(
+                operator.drift, sigma0[part], 50.0, energy=operator.energy
+            )
+            for part, seed in zip(slices, spawn_seeds(4, 3))
+        ]
+        assert np.array_equal(
+            sharded.times,
+            [0.0, max(float(part.times[-1]) for part in parts)],
+        )
+        for part, trajectory in zip(slices, parts):
+            assert np.array_equal(
+                sharded.states[:, part], trajectory.states[[0, -1]]
+            )
+            assert np.array_equal(
+                sharded.energies[:, part], trajectory.energies[[0, -1]]
             )
 
     def test_fixed_config_keeps_full_record_grid(self, operator, sigma0):
