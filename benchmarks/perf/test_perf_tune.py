@@ -14,20 +14,16 @@ equilibrium fixed point) — the headline claim recorded in
 
 import pytest
 
-from repro.tune.bench import (
-    bench_tune_adaptive,
-    bench_tune_early_exit,
-    bench_tune_suite,
-)
+from repro.tune.bench import bench_tune_early_exit, bench_tune_suite
 
 pytestmark = pytest.mark.perf
 
 
 def test_tune_smoke_suite_rows_are_well_formed():
     rows = bench_tune_suite(smoke=True, repeats=1)
-    assert len(rows) == 2
+    assert len(rows) == 1
     names = {row["name"] for row in rows}
-    assert names == {"tune_early_exit_vs_fixed", "tune_adaptive_vs_conservative"}
+    assert names == {"tune_early_exit_vs_fixed"}
     for row in rows:
         assert row["speedup"] > 0
         # Both sides must land within the absolute accuracy ceiling for
@@ -52,13 +48,3 @@ def test_early_exit_beats_fixed_budget_2x_at_n2048():
     assert row["equal_accuracy"]
     assert row["early_exit_t_ns"] < row["duration_ns"]
 
-
-def test_adaptive_beats_conservative_dt_at_equal_accuracy():
-    """The variable-step story: starting from a 10x-safety-margin dt the
-    PI controller recovers most of the headroom — faster than the
-    conservative fixed step at the same accuracy ceiling."""
-    row = bench_tune_adaptive(
-        n=1024, density=0.02, batch=8, duration=100.0, repeats=2
-    )
-    assert row["speedup"] > 1.0
-    assert row["equal_accuracy"]

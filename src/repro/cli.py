@@ -477,7 +477,8 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="replay the winning config of a recorded tune artifact "
         "instead of searching; exits 1 if the replayed accuracy "
-        "misses the recorded target",
+        "misses the recorded target, 2 if the artifact cannot be "
+        "replayed (unsupported version or unknown fields)",
     )
     tune.add_argument(
         "--problem",
@@ -508,15 +509,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     tune.add_argument(
         "--dts", type=float, nargs="+", default=[0.1], metavar="DT",
-        help="fixed/initial step sizes to search",
-    )
-    tune.add_argument(
-        "--rtols",
-        type=float,
-        nargs="+",
-        default=[1e-3],
-        metavar="RTOL",
-        help="adaptive relative tolerances to search ([] disables)",
+        help="step sizes to search",
     )
     tune.add_argument(
         "--settle-tolerances",
@@ -985,8 +978,12 @@ def _cmd_tune(args: argparse.Namespace) -> int:
     )
 
     if args.config is not None:
-        artifact = load_artifact(args.config)
-        row = replay(artifact, repeats=args.repeats)
+        try:
+            artifact = load_artifact(args.config)
+            row = replay(artifact, repeats=args.repeats)
+        except ValueError as error:
+            print(f"error: {args.config}: {error}", file=sys.stderr)
+            return 2
         status = "MET" if row["met_target"] else "MISSED"
         print(
             f"replayed {row['label']}: error={row['error']:.3e} "
@@ -1011,7 +1008,6 @@ def _cmd_tune(args: argparse.Namespace) -> int:
         candidates = build_grid(
             durations=durations,
             dts=args.dts,
-            rtols=args.rtols,
             settle_tolerances=args.settle_tolerances,
             schedules=args.schedules,
             sync_intervals=args.sync_intervals or [10.0],

@@ -80,22 +80,6 @@ class IntegrationConfig:
             garbage trajectory.  ``0`` (default) disables the guard —
             the polarization analysis runs unrailed and must be allowed
             to observe divergence.
-        adaptive: Error-controlled variable-step integration.  ``False``
-            (default) keeps the fixed-``dt`` loop bit-for-bit identical
-            to the historical path.  ``True`` treats ``dt`` as the
-            *initial* step and adjusts it per step from an embedded
-            error estimate — a Heun/Euler pair for ``method="euler"``,
-            step-doubling for ``method="rk4"`` — under a PI step-size
-            controller.  A step whose error exceeds
-            ``atol + rtol * |sigma|`` is rejected and retried smaller
-            (counted in the ``circuit.rejected_steps`` metric).
-        rtol: Relative local-error tolerance of the adaptive controller.
-        atol: Absolute local-error tolerance (same units as ``sigma``).
-        dt_min: Smallest step the controller may take; a rejection at
-            ``dt_min`` is accepted anyway (progress beats stalling;
-            railed dynamics cannot blow up).  ``None`` means ``dt/1000``.
-        dt_max: Largest step the controller may take.  ``None`` means
-            ``100 * dt`` (never exceeding the run duration).
         early_exit: Per-member settling freeze-out for ``run`` /
             ``run_batch``.  Every ``settle_check_every`` steps, a batch
             member whose state moved less than ``settle_tolerance``
@@ -123,11 +107,6 @@ class IntegrationConfig:
     record_every: int = 1
     energy_probe_every: int = 0
     divergence_check_every: int = 0
-    adaptive: bool = False
-    rtol: float = 1e-4
-    atol: float = 1e-6
-    dt_min: float | None = None
-    dt_max: float | None = None
     early_exit: bool = False
     settle_tolerance: float = 1e-3
     settle_check_every: int = 10
@@ -148,23 +127,6 @@ class IntegrationConfig:
             raise ValueError("energy_probe_every must be >= 0")
         if self.divergence_check_every < 0:
             raise ValueError("divergence_check_every must be >= 0")
-        if self.rtol <= 0:
-            raise ValueError(f"rtol must be positive, got {self.rtol}")
-        if self.atol <= 0:
-            raise ValueError(f"atol must be positive, got {self.atol}")
-        if self.dt_min is not None and self.dt_min <= 0:
-            raise ValueError(f"dt_min must be positive, got {self.dt_min}")
-        if self.dt_max is not None and self.dt_max <= 0:
-            raise ValueError(f"dt_max must be positive, got {self.dt_max}")
-        if (
-            self.dt_min is not None
-            and self.dt_max is not None
-            and self.dt_min > self.dt_max
-        ):
-            raise ValueError(
-                f"dt_min ({self.dt_min}) must not exceed dt_max "
-                f"({self.dt_max})"
-            )
         if self.settle_tolerance <= 0:
             raise ValueError(
                 f"settle_tolerance must be positive, got "
@@ -174,15 +136,6 @@ class IntegrationConfig:
             raise ValueError("settle_check_every must be >= 1")
         if self.settle_patience < 1:
             raise ValueError("settle_patience must be >= 1")
-
-    def resolved_dt_min(self) -> float:
-        """The effective smallest adaptive step (``dt/1000`` by default)."""
-        return self.dt / 1000.0 if self.dt_min is None else self.dt_min
-
-    def resolved_dt_max(self, duration: float) -> float:
-        """The effective largest adaptive step, capped by the run length."""
-        dt_max = 100.0 * self.dt if self.dt_max is None else self.dt_max
-        return min(dt_max, duration)
 
 
 @dataclass
@@ -209,11 +162,7 @@ class Trajectory:
         """Hamiltonian value at the end of the run."""
         return float(self.energies[-1])
 
-    def settle_time(
-        self,
-        tolerance: float = 1e-3,
-        rate_tolerance: float | None = None,
-    ) -> float:
+    def settle_time(self, tolerance: float = 1e-3) -> float:
         """First recorded time after which the state stays within
         ``tolerance`` (infinity norm) of the final state.
 
@@ -222,15 +171,6 @@ class Trajectory:
         Args:
             tolerance: Deviation band around the final state, in the
                 state's physical units (volts on the circuit).
-            rate_tolerance: Optional *times-aligned* criterion in
-                physical units per nanosecond (volts/ns): instead of the
-                absolute band, a sample counts as settled when the state
-                moved slower than ``rate_tolerance`` since the previous
-                recorded sample.  Dividing by the actual inter-sample
-                gap makes the criterion independent of the recording
-                cadence — essential for adaptive-step trajectories,
-                whose ``times`` are non-uniform.  When given, it
-                replaces ``tolerance``.
 
         Never-settled sentinel (the single authoritative statement —
         :meth:`settled` and :meth:`BatchTrajectory.settled_fraction`
@@ -242,19 +182,9 @@ class Trajectory:
         band before the end of the run; use :meth:`settled` to test for
         that case explicitly.
         """
-        if rate_tolerance is not None:
-            if rate_tolerance <= 0:
-                raise ValueError(
-                    f"rate_tolerance must be positive, got {rate_tolerance}"
-                )
-            gaps = np.diff(self.times)
-            gaps = np.where(gaps > 0, gaps, 1.0)
-            moved = np.max(np.abs(np.diff(self.states, axis=0)), axis=1)
-            settled = np.concatenate([[False], moved / gaps <= rate_tolerance])
-        else:
-            final = self.states[-1]
-            deviations = np.max(np.abs(self.states - final), axis=1)
-            settled = deviations <= tolerance
+        final = self.states[-1]
+        deviations = np.max(np.abs(self.states - final), axis=1)
+        settled = deviations <= tolerance
         # Find the earliest index from which everything stays settled.
         not_settled = np.where(~settled)[0]
         if not_settled.size == 0:
@@ -264,11 +194,7 @@ class Trajectory:
             return float(self.times[-1])
         return float(self.times[first])
 
-    def settled(
-        self,
-        tolerance: float = 1e-3,
-        rate_tolerance: float | None = None,
-    ) -> bool:
+    def settled(self, tolerance: float = 1e-3) -> bool:
         """Whether the state reached (and held) the tolerance band around
         the final state strictly before the last recorded sample.
 
@@ -279,9 +205,7 @@ class Trajectory:
         """
         if len(self.times) < 2:
             return True
-        return self.settle_time(tolerance, rate_tolerance) < float(
-            self.times[-1]
-        )
+        return self.settle_time(tolerance) < float(self.times[-1])
 
 
 @dataclass
@@ -525,18 +449,11 @@ class CircuitSimulator:
         registry.counter("circuit.samples").inc(batch)
         span.set("steps", steps)
         span.set("duration_ns", float(duration))
-        # Adaptive / early-exit telemetry: the step-count, rejected-step,
-        # and freeze-out counters the tune CLI and `repro obs summarize`
-        # derive schedule efficiency from.  Zero-valued entries are not
-        # recorded so fixed-schedule traces are unchanged.
-        if stats.get("rejected_steps"):
-            registry.counter("circuit.rejected_steps").inc(
-                stats["rejected_steps"]
-            )
-            span.set("rejected_steps", stats["rejected_steps"])
-        if stats.get("member_steps") is not None and (
-            self.config.adaptive or self.config.early_exit
-        ):
+        # Early-exit telemetry: the member-step and freeze-out counters
+        # the tune CLI and `repro obs summarize` derive schedule efficiency
+        # from.  Fixed-schedule runs record none of them, so their traces
+        # are unchanged.
+        if self.config.early_exit:
             registry.counter("circuit.member_steps").inc(
                 stats["member_steps"]
             )
@@ -639,25 +556,24 @@ class CircuitSimulator:
         clamp_value: np.ndarray,
         energy,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
-        """Vectorized Euler/RK4 loop over a ``(batch, n)`` state matrix.
+        """Vectorized fixed-``dt`` Euler/RK4 loop over a ``(batch, n)`` state.
 
-        Dispatches on the config: the default fixed-``dt`` loop below is
-        the historical path and stays bit-for-bit untouched;
-        ``adaptive=True`` routes to :meth:`_integrate_adaptive` and
-        ``early_exit=True`` (without ``adaptive``) to
-        :meth:`_integrate_early_exit`.  All three return
-        ``(times, states, energies, stats)`` where ``stats`` carries the
-        step/rejection/freeze-out accounting of :meth:`_observe_run`.
+        Every step is one :meth:`_advance_fixed` (drift, noise, projection
+        — in that order).  Under ``early_exit`` the loop also freezes out
+        settled members: every ``settle_check_every`` steps, a member whose
+        state stopped moving (the :meth:`Trajectory.settled` criterion,
+        held over ``settle_patience`` consecutive windows) leaves the
+        active batch — so each remaining step's drift evaluation runs on a
+        shrinking ``(active, n)`` slice — and holds its state.  When every
+        member freezes the loop exits and the trajectory ends early.  While
+        all members are active the arithmetic (including the noise stream)
+        is the same with or without ``early_exit``, so a run in which no
+        member settles early returns bit-for-bit identical states.
+
+        Returns ``(times, states, energies, stats)`` where ``stats``
+        carries the step and freeze-out accounting of :meth:`_observe_run`.
         """
         cfg = self.config
-        if cfg.adaptive:
-            return self._integrate_adaptive(
-                drift, sigma, duration, clamp_index, clamp_value, energy
-            )
-        if cfg.early_exit:
-            return self._integrate_early_exit(
-                drift, sigma, duration, clamp_index, clamp_value, energy
-            )
         batch = sigma.shape[0]
 
         # Energy-descent probe: only live when tracing is on AND an energy
@@ -669,38 +585,41 @@ class CircuitSimulator:
             if (cfg.energy_probe_every and energy is not None and tracer.enabled)
             else 0
         )
-
         check_every = cfg.divergence_check_every
         n_steps = max(1, int(round(duration / cfg.dt)))
+        per_sample = clamp_value.ndim == 2
+
+        def record_energy() -> np.ndarray:
+            return (
+                np.asarray(energy(sigma), dtype=float)
+                if energy is not None
+                else np.zeros(batch)
+            )
+
         times = [0.0]
         states = [sigma.copy()]
-        energies = [
-            np.asarray(energy(sigma), dtype=float)
-            if energy is not None
-            else np.zeros(batch)
-        ]
+        energies = [record_energy()]
 
-        inv_c = 1.0 / cfg.capacitance
+        active = np.arange(batch)
+        if cfg.early_exit:
+            streak = np.zeros(batch, dtype=int)
+            reference = sigma.copy()
+        frozen_members = 0
+        member_steps = 0
+        exited = False
         for step in range(1, n_steps + 1):
-            if cfg.method == "euler":
-                delta = cfg.dt * inv_c * drift(sigma)
-            else:  # rk4 — every intermediate stage is rail- and clamp-projected
-                k1 = drift(sigma)
-                k2 = drift(self._project(sigma + 0.5 * cfg.dt * inv_c * k1, clamp_index, clamp_value))
-                k3 = drift(self._project(sigma + 0.5 * cfg.dt * inv_c * k2, clamp_index, clamp_value))
-                k4 = drift(self._project(sigma + cfg.dt * inv_c * k3, clamp_index, clamp_value))
-                delta = cfg.dt * inv_c * (k1 + 2 * k2 + 2 * k3 + k4) / 6.0
-            sigma = sigma + delta
-            if cfg.node_noise_std > 0:
-                scale = cfg.node_noise_std * (cfg.rail if cfg.rail else 1.0)
-                # Thermal/shot noise enters through the same capacitor the
-                # signal does, so it accumulates per step like the drift.
-                sigma = sigma + self.rng.normal(
-                    0.0, scale * np.sqrt(cfg.dt), size=sigma.shape
+            if active.size == batch:
+                sigma = self._advance_fixed(
+                    sigma, drift, clamp_index, clamp_value
                 )
-            # Clamps are re-asserted *after* noise injection: the observed
-            # capacitors are driven, so noise cannot displace them.
-            sigma = self._project(sigma, clamp_index, clamp_value)
+            else:
+                sub_clamp = (
+                    clamp_value[active] if per_sample else clamp_value
+                )
+                sigma[active] = self._advance_fixed(
+                    sigma[active], drift, clamp_index, sub_clamp
+                )
+            member_steps += int(active.size)
             if check_every and (step % check_every == 0 or step == n_steps):
                 check_finite(sigma, "circuit", step, step * cfg.dt)
             if probe_every and (step % probe_every == 0 or step == n_steps):
@@ -713,34 +632,41 @@ class CircuitSimulator:
                     energy_min=float(values.min()),
                     energy_max=float(values.max()),
                 )
-            if step % cfg.record_every == 0 or step == n_steps:
+            if cfg.early_exit:
+                if step % cfg.settle_check_every == 0 and active.size:
+                    moved = np.max(
+                        np.abs(sigma[active] - reference[active]), axis=1
+                    )
+                    under = moved <= cfg.settle_tolerance
+                    streak[active] = np.where(under, streak[active] + 1, 0)
+                    keep = streak[active] < cfg.settle_patience
+                    newly_frozen = int(active.size - keep.sum())
+                    if newly_frozen:
+                        frozen_members += newly_frozen
+                        active = active[keep]
+                    reference = sigma.copy()
+                exited = active.size == 0
+            if exited or step % cfg.record_every == 0 or step == n_steps:
                 times.append(step * cfg.dt)
                 states.append(sigma.copy())
-                energies.append(
-                    np.asarray(energy(sigma), dtype=float)
-                    if energy is not None
-                    else np.zeros(batch)
-                )
+                energies.append(record_energy())
+            if exited:
+                break
 
         stats = {
-            "steps": n_steps,
-            "rejected_steps": 0,
-            "member_steps": n_steps * batch,
-            "frozen_members": 0,
-            "exited_early": False,
-            "final_time": n_steps * cfg.dt,
+            "steps": step,
+            "member_steps": member_steps,
+            "frozen_members": frozen_members,
+            "exited_early": exited,
+            "final_time": float(times[-1]),
         }
         return np.asarray(times), np.asarray(states), np.asarray(energies), stats
 
-    # ------------------------------------------------------------------
-    # Early-exit settling (fixed dt)
-    # ------------------------------------------------------------------
-    def _advance_fixed(self, state, drift, dt, clamp_index, clamp_value):
-        """One fixed-``dt`` step, expression-for-expression identical to
-        the legacy loop (drift, noise, projection — in that order), so
-        the early-exit path is bit-for-bit equal to the historical one
-        while every batch member is still active."""
+    def _advance_fixed(self, state, drift, clamp_index, clamp_value):
+        """One ``dt`` step of ``state``: drift, then node noise, then the
+        rail and clamp projection."""
         cfg = self.config
+        dt = cfg.dt
         inv_c = 1.0 / cfg.capacitance
         if cfg.method == "euler":
             delta = dt * inv_c * drift(state)
@@ -753,310 +679,14 @@ class CircuitSimulator:
         state = state + delta
         if cfg.node_noise_std > 0:
             scale = cfg.node_noise_std * (cfg.rail if cfg.rail else 1.0)
+            # Thermal/shot noise enters through the same capacitor the
+            # signal does, so it accumulates per step like the drift.
             state = state + self.rng.normal(
                 0.0, scale * np.sqrt(dt), size=state.shape
             )
+        # Clamps are re-asserted *after* noise injection: the observed
+        # capacitors are driven, so noise cannot displace them.
         return self._project(state, clamp_index, clamp_value)
-
-    def _integrate_early_exit(
-        self,
-        drift,
-        sigma: np.ndarray,
-        duration: float,
-        clamp_index: np.ndarray,
-        clamp_value: np.ndarray,
-        energy,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
-        """Fixed-``dt`` loop with vectorized per-member freeze-out.
-
-        Members whose state stopped moving (the :meth:`Trajectory.settled`
-        criterion, checked every ``settle_check_every`` steps over
-        ``settle_patience`` consecutive windows) are *frozen*: they leave
-        the active batch — so each remaining step's drift evaluation runs
-        on a shrinking ``(active, n)`` slice — and hold their state.  When
-        every member freezes the loop exits and the trajectory ends early.
-
-        While all members are active the arithmetic (including the noise
-        stream) is identical to the legacy loop, so a run in which no
-        member settles early returns bit-for-bit identical states.
-        """
-        cfg = self.config
-        batch = sigma.shape[0]
-        tracer = obs.tracer()
-        probe_every = (
-            cfg.energy_probe_every
-            if (cfg.energy_probe_every and energy is not None and tracer.enabled)
-            else 0
-        )
-        check_every = cfg.divergence_check_every
-        n_steps = max(1, int(round(duration / cfg.dt)))
-        per_sample = clamp_value.ndim == 2
-
-        def record_energy() -> np.ndarray:
-            return (
-                np.asarray(energy(sigma), dtype=float)
-                if energy is not None
-                else np.zeros(batch)
-            )
-
-        times = [0.0]
-        states = [sigma.copy()]
-        energies = [record_energy()]
-
-        active = np.arange(batch)
-        streak = np.zeros(batch, dtype=int)
-        reference = sigma.copy()
-        frozen_members = 0
-        member_steps = 0
-        exited_at: float | None = None
-        for step in range(1, n_steps + 1):
-            if active.size == batch:
-                sigma = self._advance_fixed(
-                    sigma, drift, cfg.dt, clamp_index, clamp_value
-                )
-            else:
-                sub_clamp = (
-                    clamp_value[active] if per_sample else clamp_value
-                )
-                sigma[active] = self._advance_fixed(
-                    sigma[active], drift, cfg.dt, clamp_index, sub_clamp
-                )
-            member_steps += int(active.size)
-            if check_every and (step % check_every == 0 or step == n_steps):
-                check_finite(sigma, "circuit", step, step * cfg.dt)
-            if probe_every and (step % probe_every == 0 or step == n_steps):
-                values = np.asarray(energy(sigma), dtype=float)
-                tracer.event(
-                    "circuit.energy_probe",
-                    step=step,
-                    t_ns=step * cfg.dt,
-                    energy_mean=float(values.mean()),
-                    energy_min=float(values.min()),
-                    energy_max=float(values.max()),
-                )
-            if step % cfg.settle_check_every == 0 and active.size:
-                moved = np.max(
-                    np.abs(sigma[active] - reference[active]), axis=1
-                )
-                under = moved <= cfg.settle_tolerance
-                streak[active] = np.where(under, streak[active] + 1, 0)
-                keep = streak[active] < cfg.settle_patience
-                newly_frozen = int(active.size - keep.sum())
-                if newly_frozen:
-                    frozen_members += newly_frozen
-                    active = active[keep]
-                reference = sigma.copy()
-            record = step % cfg.record_every == 0 or step == n_steps
-            if active.size == 0:
-                exited_at = step * cfg.dt
-                record = True
-            if record:
-                times.append(step * cfg.dt)
-                states.append(sigma.copy())
-                energies.append(record_energy())
-            if exited_at is not None:
-                break
-
-        stats = {
-            "steps": int(round(times[-1] / cfg.dt)),
-            "rejected_steps": 0,
-            "member_steps": member_steps,
-            "frozen_members": frozen_members,
-            "exited_early": exited_at is not None,
-            "final_time": float(times[-1]),
-        }
-        return np.asarray(times), np.asarray(states), np.asarray(energies), stats
-
-    # ------------------------------------------------------------------
-    # Error-controlled variable-step integration
-    # ------------------------------------------------------------------
-    def _adaptive_trial(
-        self, drift, state, dt, inv_c, clamp_index, clamp_value
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """One trial step of the embedded pair at step size ``dt``.
-
-        Returns ``(proposal, err_per_member)`` where ``proposal`` is the
-        higher-order solution *before* noise injection and projection and
-        ``err_per_member`` is the scaled local-error estimate
-        (``<= 1`` accepts).  ``method="euler"`` uses the Heun/Euler
-        embedded pair (advance 2nd order, estimate 1st); ``method="rk4"``
-        uses step-doubling (advance with two half steps, estimate from
-        the full-step difference).
-        """
-        cfg = self.config
-        if cfg.method == "euler":
-            k1 = drift(state)
-            euler = state + dt * inv_c * k1
-            k2 = drift(self._project(euler, clamp_index, clamp_value))
-            proposal = state + 0.5 * dt * inv_c * (k1 + k2)
-            err_vec = proposal - euler
-        else:
-            def rk4(y, h):
-                k1 = drift(y)
-                k2 = drift(self._project(y + 0.5 * h * inv_c * k1, clamp_index, clamp_value))
-                k3 = drift(self._project(y + 0.5 * h * inv_c * k2, clamp_index, clamp_value))
-                k4 = drift(self._project(y + h * inv_c * k3, clamp_index, clamp_value))
-                return y + h * inv_c * (k1 + 2 * k2 + 2 * k3 + k4) / 6.0
-
-            coarse = rk4(state, dt)
-            half = self._project(rk4(state, 0.5 * dt), clamp_index, clamp_value)
-            proposal = rk4(half, 0.5 * dt)
-            err_vec = proposal - coarse
-        if clamp_index.size:
-            # Clamped coordinates are overwritten by the projection after
-            # every accepted step; their (never-vanishing) drift must not
-            # hold the shared step size down.
-            err_vec[..., clamp_index] = 0.0
-        scale = cfg.atol + cfg.rtol * np.maximum(
-            np.abs(state), np.abs(proposal)
-        )
-        err = np.max(np.abs(err_vec) / scale, axis=-1)
-        return proposal, np.atleast_1d(err)
-
-    def _integrate_adaptive(
-        self,
-        drift,
-        sigma: np.ndarray,
-        duration: float,
-        clamp_index: np.ndarray,
-        clamp_value: np.ndarray,
-        energy,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
-        """Variable-step loop under a PI step-size controller.
-
-        The whole batch shares one step size (so every step still costs a
-        single batched drift evaluation); the controller follows the
-        *worst* member's scaled error.  Steps whose error exceeds 1 are
-        rejected and retried smaller, except at ``dt_min`` where progress
-        beats stalling (railed dynamics cannot blow up).  Early-exit
-        freeze-out composes with the controller: settled members leave
-        the active slice exactly as in :meth:`_integrate_early_exit`.
-        """
-        cfg = self.config
-        batch = sigma.shape[0]
-        tracer = obs.tracer()
-        probe_every = (
-            cfg.energy_probe_every
-            if (cfg.energy_probe_every and energy is not None and tracer.enabled)
-            else 0
-        )
-        check_every = cfg.divergence_check_every
-        dt_min = cfg.resolved_dt_min()
-        dt_max = cfg.resolved_dt_max(duration)
-        inv_c = 1.0 / cfg.capacitance
-        per_sample = clamp_value.ndim == 2
-        # Controller order: the Heun/Euler pair estimates an O(dt^2)
-        # local error, RK4 step-doubling an O(dt^5) one.
-        order = 2.0 if cfg.method == "euler" else 5.0
-        safety, fac_min, fac_max = 0.9, 0.2, 5.0
-        kp, ki = 0.4 / order, 0.7 / order  # Gustafsson PI gains
-
-        def record_energy() -> np.ndarray:
-            return (
-                np.asarray(energy(sigma), dtype=float)
-                if energy is not None
-                else np.zeros(batch)
-            )
-
-        times = [0.0]
-        states = [sigma.copy()]
-        energies = [record_energy()]
-
-        active = np.arange(batch)
-        streak = np.zeros(batch, dtype=int)
-        reference = sigma.copy()
-        frozen_members = 0
-        member_steps = 0
-        accepted = 0
-        rejected = 0
-        exited_at: float | None = None
-        t = 0.0
-        dt = min(max(cfg.dt, dt_min), dt_max)
-        err_prev = 1.0
-        while t < duration * (1.0 - 1e-12):
-            dt = min(dt, duration - t)
-            full = active.size == batch
-            state = sigma if full else sigma[active]
-            cvals = (
-                clamp_value if (full or not per_sample)
-                else clamp_value[active]
-            )
-            proposal, err_members = self._adaptive_trial(
-                drift, state, dt, inv_c, clamp_index, cvals
-            )
-            err = float(err_members.max()) if err_members.size else 0.0
-            if err > 1.0 and dt > dt_min * (1.0 + 1e-9):
-                rejected += 1
-                shrink = max(fac_min, safety * err ** (-1.0 / order))
-                dt = max(dt_min, dt * min(shrink, 1.0))
-                continue
-            if cfg.node_noise_std > 0:
-                scale = cfg.node_noise_std * (cfg.rail if cfg.rail else 1.0)
-                proposal = proposal + self.rng.normal(
-                    0.0, scale * np.sqrt(dt), size=proposal.shape
-                )
-            proposal = self._project(proposal, clamp_index, cvals)
-            if full:
-                sigma = proposal
-            else:
-                sigma[active] = proposal
-            accepted += 1
-            member_steps += int(active.size)
-            t += dt
-            bounded_err = max(err, 1e-10)
-            factor = safety * bounded_err ** (-ki) * err_prev ** kp
-            factor = min(fac_max, max(fac_min, factor))
-            dt = min(dt_max, max(dt_min, dt * factor))
-            err_prev = bounded_err
-            final = t >= duration * (1.0 - 1e-12)
-            if check_every and (accepted % check_every == 0 or final):
-                check_finite(sigma, "circuit", accepted, t)
-            if probe_every and (accepted % probe_every == 0 or final):
-                values = np.asarray(energy(sigma), dtype=float)
-                tracer.event(
-                    "circuit.energy_probe",
-                    step=accepted,
-                    t_ns=t,
-                    energy_mean=float(values.mean()),
-                    energy_min=float(values.min()),
-                    energy_max=float(values.max()),
-                )
-            if (
-                cfg.early_exit
-                and accepted % cfg.settle_check_every == 0
-                and active.size
-            ):
-                moved = np.max(
-                    np.abs(sigma[active] - reference[active]), axis=1
-                )
-                under = moved <= cfg.settle_tolerance
-                streak[active] = np.where(under, streak[active] + 1, 0)
-                keep = streak[active] < cfg.settle_patience
-                newly_frozen = int(active.size - keep.sum())
-                if newly_frozen:
-                    frozen_members += newly_frozen
-                    active = active[keep]
-                reference = sigma.copy()
-            record = accepted % cfg.record_every == 0 or final
-            if cfg.early_exit and active.size == 0:
-                exited_at = t
-                record = True
-            if record:
-                times.append(t)
-                states.append(sigma.copy())
-                energies.append(record_energy())
-            if exited_at is not None:
-                break
-
-        stats = {
-            "steps": accepted,
-            "rejected_steps": rejected,
-            "member_steps": member_steps,
-            "frozen_members": frozen_members,
-            "exited_early": exited_at is not None,
-            "final_time": float(times[-1]),
-        }
-        return np.asarray(times), np.asarray(states), np.asarray(energies), stats
 
     def _project(
         self,

@@ -54,6 +54,7 @@ __all__ = [
     "InferenceResult",
     "BatchInferenceResult",
     "NaturalAnnealingEngine",
+    "check_observed_values",
     "model_fingerprint",
 ]
 
@@ -87,6 +88,27 @@ def model_fingerprint(model: DSGLModel) -> str:
     return content_fingerprint((model.J, model.h, model.mean, model.scale))
 
 
+def check_observed_values(
+    observed_values: np.ndarray, num_observed: int
+) -> np.ndarray:
+    """``observed_values`` as a validated ``(batch, num_observed)`` matrix.
+
+    The one check of observation values shared by every inference entry
+    point (a single observation passes a one-row matrix).  Raises
+    ``ValueError`` for any other shape or for a NaN/±Inf value, so a bad
+    observation never reaches a solve.
+    """
+    values = np.asarray(observed_values, dtype=float)
+    if values.ndim != 2 or values.shape[1] != num_observed:
+        raise ValueError(
+            "observed_values length must match observed_index: expected "
+            f"(batch, num_observed) = (*, {num_observed}), got {values.shape}"
+        )
+    if not np.all(np.isfinite(values)):
+        raise ValueError("observed_values contains NaN or infinite values")
+    return values
+
+
 @dataclass
 class InferenceResult:
     """Outcome of one natural-annealing inference.
@@ -96,10 +118,9 @@ class InferenceResult:
         state: Full final node-voltage vector (normalized domain).
         trajectory: Recorded evolution, when the circuit path was used.
         annealing_time_ns: Simulated time the system evolved for.  Equals
-            the requested duration on the fixed-step path; under
-            ``adaptive``/``early_exit`` configs it reports the time the
-            integrator actually covered (early-exit settling can stop
-            before the requested budget).
+            the requested duration, except under ``early_exit`` configs,
+            where it reports the time the integrator actually covered
+            (settling can stop before the requested budget).
     """
 
     prediction: np.ndarray
@@ -119,8 +140,8 @@ class BatchInferenceResult:
         trajectory: Recorded evolution of the whole batch, when the
             circuit path was used.
         annealing_time_ns: Simulated time the systems evolved for (the
-            actual integrated time under ``adaptive``/``early_exit``
-            configs; see :class:`InferenceResult`).
+            actual integrated time under ``early_exit`` configs; see
+            :class:`InferenceResult`).
     """
 
     predictions: np.ndarray
@@ -502,20 +523,15 @@ class NaturalAnnealingEngine:
 
         Raises ``ValueError`` for out-of-range or duplicate indices, a
         values matrix that is not ``(batch, num_observed)``, or a NaN/±Inf
-        value — before any integration, shared-memory or pool work.
+        value — before any solve, integration, shared-memory or pool work.
+        Every inference entry point validates through here; single
+        observations pass a one-row matrix.
         """
         observed_index, free_index = self._split_nodes(
             observed_index, self.model.n
         )
-        observed_values = np.asarray(observed_values, dtype=float)
-        if observed_values.ndim != 2 or observed_values.shape[1] != observed_index.size:
-            raise ValueError(
-                "observed_values must be (batch, num_observed), got "
-                f"{observed_values.shape}"
-            )
-        if not np.all(np.isfinite(observed_values)):
-            raise ValueError("observed_values contains NaN or infinite values")
-        return observed_index, free_index, observed_values
+        values = check_observed_values(observed_values, observed_index.size)
+        return observed_index, free_index, values
 
     # ------------------------------------------------------------------
     # Circuit-simulation paths
@@ -537,13 +553,16 @@ class NaturalAnnealingEngine:
 
         Returns:
             :class:`InferenceResult` with the free-node predictions.
+
+        Raises:
+            ValueError: For malformed observations (see :meth:`_check_batch`).
         """
         model = self.model
         n = model.n
-        observed_index, free_index = self._split_nodes(observed_index, n)
-        observed_values = np.asarray(observed_values, dtype=float).reshape(-1)
-        if observed_values.shape[0] != observed_index.shape[0]:
-            raise ValueError("observed_values length must match observed_index")
+        observed_index, free_index, values = self._check_batch(
+            observed_index, np.reshape(observed_values, (1, -1))
+        )
+        observed_values = values[0]
         rng = rng or np.random.default_rng(self.seed)
 
         clamp_value = self._normalized_subset(model, observed_index, observed_values)
@@ -571,7 +590,7 @@ class NaturalAnnealingEngine:
         prediction = self._denormalized_subset(model, free_index, state)
         annealed = (
             float(trajectory.times[-1])
-            if (self.config.adaptive or self.config.early_exit)
+            if self.config.early_exit
             else duration
         )
         return InferenceResult(
@@ -673,7 +692,7 @@ class NaturalAnnealingEngine:
         )
         annealed = (
             float(trajectory.times[-1])
-            if (self.config.adaptive or self.config.early_exit)
+            if self.config.early_exit
             else duration
         )
         return BatchInferenceResult(
@@ -717,12 +736,14 @@ class NaturalAnnealingEngine:
         The reduced system's LU factorization is memoized per
         observed-index set, so repeated calls with the same observed nodes
         (accuracy sweeps, training loops) only pay a back-substitution.
+        Malformed observations raise ``ValueError`` before the solve (see
+        :meth:`_check_batch`).
         """
         model = self.model
-        observed_index, free_index = self._split_nodes(observed_index, model.n)
-        observed_values = np.asarray(observed_values, dtype=float).reshape(-1)
-        if observed_values.shape[0] != observed_index.shape[0]:
-            raise ValueError("observed_values length must match observed_index")
+        observed_index, free_index, values = self._check_batch(
+            observed_index, np.reshape(observed_values, (1, -1))
+        )
+        observed_values = values[0]
         clamp_value = self._normalized_subset(model, observed_index, observed_values)
         reduced = self._reduced(observed_index, free_index)
         state = np.zeros(model.n)
@@ -757,15 +778,14 @@ class NaturalAnnealingEngine:
         Returns:
             ``(batch, num_free)`` denormalized predictions, free nodes in
             ascending index order.
+
+        Raises:
+            ValueError: For malformed observations (see :meth:`_check_batch`).
         """
         model = self.model
-        observed_index, free_index = self._split_nodes(observed_index, model.n)
-        observed_values = np.asarray(observed_values, dtype=float)
-        if observed_values.ndim != 2 or observed_values.shape[1] != observed_index.size:
-            raise ValueError(
-                "observed_values must be (batch, num_observed), got "
-                f"{observed_values.shape}"
-            )
+        observed_index, free_index, observed_values = self._check_batch(
+            observed_index, observed_values
+        )
         with obs.tracer().span(
             "engine.infer_equilibrium_batch",
             batch=observed_values.shape[0],

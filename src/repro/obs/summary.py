@@ -129,14 +129,12 @@ def _shm_transport_lines(counters: dict) -> list[str]:
     return lines
 
 
-def _adaptive_path_lines(counters: dict) -> list[str]:
-    """Derived annealing-path efficiency lines (adaptive / early-exit runs).
+def _early_exit_lines(counters: dict) -> list[str]:
+    """Derived annealing-path efficiency lines (early-exit runs).
 
     ``circuit.member_steps`` counts member×step work actually executed
-    by adaptive/early-exit integrations; against ``circuit.steps`` ×
-    ``circuit.samples`` it shows the matvec work freeze-out saved.  The
-    step acceptance rate shows how often the PI controller's trials were
-    kept.
+    by early-exit integrations; against ``circuit.steps`` ×
+    ``circuit.samples`` it shows the matvec work freeze-out saved.
     """
     lines: list[str] = []
     member_steps = counters.get("circuit.member_steps")
@@ -156,15 +154,6 @@ def _adaptive_path_lines(counters: dict) -> list[str]:
             lines.append(
                 f"early exit: {frozen} members frozen, "
                 f"{exits} runs exited before budget"
-            )
-    rejected = counters.get("circuit.rejected_steps")
-    if rejected is not None:
-        accepted = counters.get("circuit.steps") or 0
-        total = accepted + rejected
-        if total:
-            lines.append(
-                f"adaptive steps: {100.0 * accepted / total:.1f}% accepted "
-                f"({rejected} rejected)"
             )
     return lines
 
@@ -237,8 +226,8 @@ def format_metrics(snapshot: dict) -> str:
     (pooled calls served by an already running pool), the shared-memory
     transport summary (bytes shared vs bytes pickled, attach/detach
     balance), mesh halo-exchange volume, and the annealing-path
-    efficiency of adaptive/early-exit integrations (member-step savings,
-    step acceptance rate).
+    efficiency of early-exit integrations (member-step savings, frozen
+    members, early exits).
     Returns an empty string for an empty snapshot.
     """
     lines: list[str] = []
@@ -282,7 +271,7 @@ def format_metrics(snapshot: dict) -> str:
             f"({starts} starts, {reuses} reuses)"
         )
     derived.extend(_shm_transport_lines(counters))
-    derived.extend(_adaptive_path_lines(counters))
+    derived.extend(_early_exit_lines(counters))
     if derived:
         lines.append("")
         lines.extend(derived)

@@ -24,21 +24,7 @@ __all__ = [
     "expected_record_count",
     "run_batch_sharded",
     "shard_task_bytes",
-    "variable_records",
 ]
-
-
-def variable_records(config) -> bool:
-    """Whether ``config`` records a data-dependent number of frames.
-
-    Adaptive step control and early-exit settling stop on the state, so
-    each shard records its own time grid; sharded runs of such configs
-    keep two frames per member (see :func:`run_batch_sharded`).
-    """
-    return bool(
-        getattr(config, "adaptive", False)
-        or getattr(config, "early_exit", False)
-    )
 
 
 def expected_record_count(config, duration: float) -> int:
@@ -49,17 +35,17 @@ def expected_record_count(config, duration: float) -> int:
     sharded paths can preallocate result slabs of the right height
     before any worker runs.
 
-    Only valid for the fixed-step integrator: adaptive step control and
-    early-exit settling record a data-dependent number of frames, so
-    callers must not preallocate a full grid for such configs (see
+    Only valid without early exit: early-exit settling stops on the
+    state and so records a data-dependent number of frames, and callers
+    must not preallocate a full grid for such configs (see
     :func:`run_batch_sharded`, which gives them a two-frame slab of
     initial and final states instead).
     """
-    if variable_records(config):
+    if config.early_exit:
         raise ValueError(
-            "record count is data-dependent under adaptive/early-exit "
-            "integration; expected_record_count only applies to fixed-step "
-            "configs"
+            "record count is data-dependent under early-exit integration; "
+            "expected_record_count only applies to configs without "
+            "early_exit"
         )
     n_steps = max(1, int(round(duration / config.dt)))
     count = 1 + n_steps // config.record_every
@@ -73,10 +59,10 @@ def record_slabs(
 ) -> tuple:
     """The ``(times, states, energies)`` output slabs of a sharded run.
 
-    Full recorded grid for fixed-step configs; two frames (initial,
-    final) for variable-record configs.
+    Full recorded grid without early exit; two frames (initial, final)
+    under ``early_exit``, whose record count is data-dependent.
     """
-    frames = 2 if variable_records(config) else expected_record_count(
+    frames = 2 if config.early_exit else expected_record_count(
         config, duration
     )
     return (
@@ -88,7 +74,7 @@ def record_slabs(
 
 def write_shard_trajectory(
     trajectory: BatchTrajectory,
-    variable: bool,
+    early_exit: bool,
     start: int,
     stop: int,
     times_out,
@@ -97,12 +83,12 @@ def write_shard_trajectory(
 ) -> float:
     """Write one shard's trajectory into the slabs; returns its finish time.
 
-    A variable-record shard keeps its first and last frames.  A fixed-step
+    An early-exit shard keeps its first and last frames.  Otherwise the
     shard fills the whole grid, and the shard owning row 0 also writes the
     (identical-for-every-shard) time axis.
     """
     states, energies = trajectory.states, trajectory.energies
-    if variable:
+    if early_exit:
         states, energies = states[[0, -1]], energies[[0, -1]]
     elif states.shape[0] != states_out.shape[0]:
         raise RuntimeError(
@@ -112,7 +98,7 @@ def write_shard_trajectory(
         )
     states_out.array[:, start:stop, :] = states
     energies_out.array[:, start:stop] = energies
-    if start == 0 and not variable:
+    if start == 0 and not early_exit:
         times_out.array[...] = trajectory.times
     return float(trajectory.times[-1])
 
@@ -122,9 +108,9 @@ def reassemble(
 ) -> BatchTrajectory:
     """The batch trajectory from filled slabs (copied out of the arena).
 
-    Variable-record runs are stamped ``[0, latest shard finish time]``.
+    Early-exit runs are stamped ``[0, latest shard finish time]``.
     """
-    if variable_records(config):
+    if config.early_exit:
         times = np.array([0.0, max(finish_times)])
     else:
         times = times_out.array.copy()
@@ -179,7 +165,7 @@ def _circuit_shard(
         )
     return write_shard_trajectory(
         trajectory,
-        variable_records(config),
+        config.early_exit,
         start,
         stop,
         times_out,
@@ -302,8 +288,8 @@ def run_batch_sharded(
         The reassembled :class:`BatchTrajectory` (recorded times are
         shared; states/energies concatenate along the batch axis).
 
-        Under ``config.adaptive`` or ``config.early_exit`` each shard
-        records its own data-dependent time grid, so shard trajectories
+        Under ``config.early_exit`` each shard records its own
+        data-dependent time grid, so shard trajectories
         cannot be concatenated along the batch axis frame-for-frame.
         Such runs write a *two-frame* slab instead — the initial state at
         ``t=0`` and each member's final state, stamped at the latest

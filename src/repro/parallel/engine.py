@@ -34,12 +34,7 @@ from ..core.inference import (
     BatchInferenceResult,
     NaturalAnnealingEngine,
 )
-from .circuit import (
-    reassemble,
-    record_slabs,
-    variable_records,
-    write_shard_trajectory,
-)
+from .circuit import reassemble, record_slabs, write_shard_trajectory
 from .pool import parallel_map, resolve_num_shards, shard_slices, spawn_seeds
 from .shm import SharedArena, SharedArray, SharedOperator
 
@@ -129,7 +124,7 @@ def _infer_shard(
     predictions_out.array[start:stop] = result.predictions
     return write_shard_trajectory(
         result.trajectory,
-        variable_records(spec.config),
+        spec.config.early_exit,
         start,
         stop,
         times_out,
@@ -160,8 +155,8 @@ def infer_batch_sharded(
         shards: Shard count, independent of ``workers``.
 
     Returns:
-        The reassembled :class:`BatchInferenceResult`.  Fixed-step
-        configs keep the full recorded grid; adaptive/early-exit configs
+        The reassembled :class:`BatchInferenceResult`.  Configs without
+        early exit keep the full recorded grid; ``early_exit`` configs
         reassemble to the two-frame trajectory described in
         :func:`repro.parallel.circuit.run_batch_sharded`, and report the
         latest shard finish time as ``annealing_time_ns``.
@@ -206,7 +201,7 @@ def infer_batch_sharded(
             trajectory=trajectory,
             annealing_time_ns=(
                 float(trajectory.times[-1])
-                if variable_records(engine.config)
+                if engine.config.early_exit
                 else duration
             ),
         )

@@ -183,8 +183,11 @@ class SharedArray:
         if self._shm is None:
             return
         self._array = None
-        # A result object may still hold a (pickled-by-value) view export;
-        # closing then is deferred to process exit rather than crashing.
+        # The ndarray view above holds no buffer export, so close()
+        # succeeds under live views and unmaps them: whatever a task
+        # returns must be copied out of the block before this runs.
+        # BufferError comes only from an export taken elsewhere (e.g. a
+        # memoryview of ``block.buf``).
         with suppress(BufferError):
             self._shm.close()
         self._shm = None
@@ -442,9 +445,11 @@ class SharedArena:
             return
         self._closed = True
         for block in self._blocks:
-            # close() can refuse while result copies are being taken from
-            # a still-exported view; unlink works regardless on POSIX and
-            # is the call that actually frees /dev/shm.
+            # Owner views hold no buffer export, so close() unmaps them
+            # even while they are alive: every result must be copied out
+            # of the slabs before the arena closes.  BufferError comes
+            # only from an export taken elsewhere; unlink works regardless
+            # on POSIX and is the call that actually frees /dev/shm.
             with suppress(BufferError):
                 block.close()
             with suppress(FileNotFoundError):

@@ -574,8 +574,7 @@ def _run_benchmark_suite(
         # over delta size × n × density (acceptance: ≥5x at n=4096, 1 edge).
         results.extend(bench_stream_suite(smoke=False, repeats=repeats))
         # Annealing-path tuning: early-exit freeze-out vs the fixed budget
-        # and adaptive steps vs a conservative dt (acceptance: early-exit
-        # ≥2x at n=2048 at equal accuracy).
+        # (acceptance: ≥2x at n=2048 at equal accuracy).
         results.extend(bench_tune_suite(smoke=False, repeats=repeats))
     return results
 

@@ -69,6 +69,7 @@ from .. import obs
 from ..core.inference import (
     DEFAULT_CACHE_CAPACITY,
     NaturalAnnealingEngine,
+    check_observed_values,
 )
 
 __all__ = [
@@ -310,7 +311,9 @@ class InferenceServer:
         Shed and shutdown rejections resolve immediately (already done
         by the time this returns); admitted requests resolve when their
         batch executes.  Never raises for load or lifecycle reasons —
-        the status field is the contract.
+        the status field is the contract.  Raises ``ValueError`` for a
+        wrong-length or NaN/±Inf ``observed_values`` instead of queuing
+        it.
         """
         loop = asyncio.get_running_loop()
         future: asyncio.Future = loop.create_future()
@@ -326,14 +329,11 @@ class InferenceServer:
             future.set_result(ServeResult(status=STATUS_SHED))
             return future
         observed_index = self._as_index(observed_index)
-        observed_values = np.asarray(
-            observed_values, dtype=float
-        ).reshape(-1)
-        if observed_values.size != observed_index.size:
-            raise ValueError(
-                "observed_values length must match observed_index "
-                f"({observed_values.size} != {observed_index.size})"
-            )
+        # A wrong-length or non-finite request raises here, before it can
+        # join (and fail) a batch of well-formed neighbours.
+        observed_values = check_observed_values(
+            np.reshape(observed_values, (1, -1)), observed_index.size
+        )[0]
         group = (
             self.engine.problem_key(),
             observed_index.size,

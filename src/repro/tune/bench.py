@@ -24,7 +24,6 @@ from ..perf import _timed_comparison, random_sparse_system
 
 __all__ = [
     "ACCURACY_TOL",
-    "bench_tune_adaptive",
     "bench_tune_early_exit",
     "bench_tune_suite",
 ]
@@ -121,72 +120,8 @@ def bench_tune_early_exit(
     }
 
 
-def bench_tune_adaptive(
-    n: int,
-    density: float,
-    batch: int,
-    duration: float,
-    repeats: int,
-    seed: int = 0,
-) -> dict:
-    """Conservative hand-picked ``dt`` vs error-controlled adaptive steps.
-
-    The baseline integrates at a safely small fixed ``dt`` — the step a
-    cautious operator picks without knowing the system's stability limit.
-    The adaptive side starts at the same ``dt``, lets the PI controller
-    discover the largest locally-accurate step (small through the
-    transient, up to ``dt_max`` once settled), and composes with
-    early-exit so the settled tail costs nothing.
-    """
-    operator, observed, free, clamp, sigma0, reference = _tune_problem(
-        n, density, batch, seed
-    )
-    conservative = IntegrationConfig(
-        dt=0.01, record_every=1_000_000, node_noise_std=0.0
-    )
-    tuned = IntegrationConfig(
-        dt=0.01,
-        record_every=1_000_000,
-        node_noise_std=0.0,
-        adaptive=True,
-        rtol=1e-2,
-        atol=1e-8,
-        early_exit=True,
-        settle_tolerance=1e-9,
-    )
-    baseline = _runner(
-        operator, conservative, sigma0, duration, observed, clamp
-    )
-    optimized = _runner(operator, tuned, sigma0, duration, observed, clamp)
-    baseline_mae = float(
-        np.mean(np.abs(baseline().final_states[:, free] - reference))
-    )
-    tuned_trajectory = optimized()
-    optimized_mae = float(
-        np.mean(np.abs(tuned_trajectory.final_states[:, free] - reference))
-    )
-    return {
-        "name": "tune_adaptive_vs_conservative",
-        "n": n,
-        "density": density,
-        "batch": batch,
-        "duration_ns": duration,
-        "backend": operator.backend,
-        "baseline": "conservative hand-picked fixed dt (10x safety margin)",
-        "optimized": "PI-controlled variable steps with early-exit settling",
-        **_timed_comparison(baseline, optimized, repeats),
-        "accuracy_tol": ACCURACY_TOL,
-        "baseline_mae": baseline_mae,
-        "optimized_mae": optimized_mae,
-        "equal_accuracy": bool(
-            baseline_mae <= ACCURACY_TOL and optimized_mae <= ACCURACY_TOL
-        ),
-        "early_exit_t_ns": float(tuned_trajectory.times[-1]),
-    }
-
-
 def bench_tune_suite(smoke: bool, repeats: int) -> list[dict]:
-    """The tune rows of the core suite: early-exit and adaptive × n.
+    """The tune rows of the core suite: early-exit vs the fixed budget × n.
 
     Full mode includes the acceptance point — ``n=2048`` — where
     early-exit must beat the fixed budget by at least 2x at equal
@@ -200,12 +135,6 @@ def bench_tune_suite(smoke: bool, repeats: int) -> list[dict]:
     for n, density, batch, duration in grid:
         rows.append(
             bench_tune_early_exit(
-                n=n, density=density, batch=batch, duration=duration,
-                repeats=repeats,
-            )
-        )
-        rows.append(
-            bench_tune_adaptive(
                 n=n, density=density, batch=batch, duration=duration,
                 repeats=repeats,
             )

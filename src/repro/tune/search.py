@@ -4,9 +4,10 @@ Every benchmark in the repo used to integrate on a hand-picked fixed
 ``dt`` with hand-picked sync intervals and restart counts, paying
 worst-case step counts on problems that settle in a fraction of the
 budget.  This module searches annealing-path configurations — schedule
-shape, ``dt``/``rtol``, perturbation (sync) interval, restart count,
-shard count — against a *target accuracy*, measures each candidate's
-wall-clock latency, and records the equal-accuracy Pareto front.
+shape, ``dt``, early-exit settling, perturbation (sync) interval,
+restart count, shard count — against a *target accuracy*, measures each
+candidate's wall-clock latency, and records the equal-accuracy Pareto
+front.
 
 Accuracy is always judged against an exact reference: the unique fixed
 point of the convex trained system (the equilibrium solve for the
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -47,7 +48,9 @@ __all__ = [
     "save_artifact",
 ]
 
-ARTIFACT_VERSION = 1
+#: Version 2 dropped the variable-step candidate fields; version-1
+#: artifacts are refused by :func:`load_artifact`.
+ARTIFACT_VERSION = 2
 
 # Accuracy slack a replay is allowed over the recorded target before it
 # counts as a miss (wall-clock jitter never moves accuracy, but noise
@@ -61,15 +64,11 @@ class TuneCandidate:
 
     The circuit problem reads every field; the DSPU problem reads only
     ``duration``, ``sync_interval``, ``early_exit`` and
-    ``settle_tolerance`` (its integration is exact per phase, so
-    ``dt``/``rtol`` do not apply).
+    ``settle_tolerance`` (its integration is exact per phase, so ``dt``
+    does not apply).
 
     Attributes:
-        dt: Fixed step size, and the initial step of the adaptive
-            controller.
-        adaptive: Error-controlled variable-step integration
-            (:class:`~repro.core.dynamics.IntegrationConfig`).
-        rtol: Relative tolerance of the adaptive controller.
+        dt: Integration step size.
         early_exit: Per-member freeze-out settling detection.
         settle_tolerance: Freeze-out threshold (physical units).
         duration: Annealing budget in simulated ns.
@@ -85,8 +84,6 @@ class TuneCandidate:
     """
 
     dt: float = 0.1
-    adaptive: bool = False
-    rtol: float = 1e-4
     early_exit: bool = False
     settle_tolerance: float = 1e-4
     duration: float = 50.0
@@ -101,8 +98,6 @@ class TuneCandidate:
         """The :class:`IntegrationConfig` this candidate runs under."""
         return IntegrationConfig(
             dt=self.dt,
-            adaptive=self.adaptive,
-            rtol=self.rtol,
             early_exit=self.early_exit,
             settle_tolerance=self.settle_tolerance,
             record_every=1_000_000,
@@ -111,8 +106,6 @@ class TuneCandidate:
 
     def label(self) -> str:
         bits = [f"dt={self.dt:g}"]
-        if self.adaptive:
-            bits.append(f"rtol={self.rtol:g}")
         if self.early_exit:
             bits.append(f"settle={self.settle_tolerance:g}")
         if self.schedule != "none":
@@ -129,6 +122,13 @@ class TuneCandidate:
 
     @classmethod
     def from_dict(cls, data: dict) -> "TuneCandidate":
+        """The candidate of :meth:`to_dict`; ``ValueError`` names any key
+        this version does not know (e.g. a retired search dimension)."""
+        unknown = sorted(set(data) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(
+                f"unknown tune candidate field(s): {', '.join(unknown)}"
+            )
         return cls(**data)
 
 
@@ -378,7 +378,6 @@ def build_grid(
     *,
     durations: list[float],
     dts: list[float],
-    rtols: list[float] | None = None,
     settle_tolerances: list[float] | None = None,
     schedules: list[str] | None = None,
     sync_intervals: list[float] | None = None,
@@ -391,9 +390,8 @@ def build_grid(
 
     The grid always contains the plain fixed-step baselines (every
     ``duration x dt``), then layers each requested dimension on top:
-    adaptive (per ``rtol``), early-exit (per ``settle_tolerance``),
-    adaptive+early-exit, schedule shapes (per ``sync_interval``),
-    restart counts, and shard counts.  Dimensions combine with the
+    early-exit (per ``settle_tolerance``), schedule shapes (per
+    ``sync_interval``), restart counts, and shard counts.  Dimensions combine with the
     baseline rather than exhaustively with each other, keeping the grid
     linear in the number of requested values.
     """
@@ -402,23 +400,10 @@ def build_grid(
         for dt in dts:
             base = TuneCandidate(dt=dt, duration=duration)
             candidates.append(base)
-            for rtol in rtols or []:
-                candidates.append(replace(base, adaptive=True, rtol=rtol))
             for tol in settle_tolerances or []:
                 candidates.append(
                     replace(base, early_exit=True, settle_tolerance=tol)
                 )
-            for rtol in rtols or []:
-                for tol in settle_tolerances or []:
-                    candidates.append(
-                        replace(
-                            base,
-                            adaptive=True,
-                            rtol=rtol,
-                            early_exit=True,
-                            settle_tolerance=tol,
-                        )
-                    )
             for name in schedules or []:
                 for interval in sync_intervals or [10.0]:
                     candidates.append(

@@ -8,6 +8,7 @@ from repro.core import (
     NaturalAnnealingEngine,
     symmetrize_coupling,
 )
+from repro.core.inference import check_observed_values
 from repro.core.model import DSGLModel
 
 
@@ -97,6 +98,29 @@ class TestValidation:
         engine = _engine()
         with pytest.raises(ValueError, match="length"):
             engine.infer_equilibrium(np.asarray([0, 1]), np.asarray([0.0]))
+
+
+class TestCheckObservedValues:
+    """The one observation-value check behind every inference entry point."""
+
+    def test_returns_float_matrix(self):
+        values = check_observed_values([[1, 2], [3, 4]], 2)
+        assert values.dtype == float
+        assert values.shape == (2, 2)
+
+    @pytest.mark.parametrize(
+        "values",
+        [[0.0, 1.0], [[0.0, 1.0, 2.0]], [[[0.0, 1.0]]], np.zeros((0, 3))],
+        ids=["one-d", "too-wide", "three-d", "empty-wrong-width"],
+    )
+    def test_rejects_wrong_shape(self, values):
+        with pytest.raises(ValueError, match=r"\(\*, 2\)"):
+            check_observed_values(values, 2)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            check_observed_values([[0.0, 1.0], [bad, 0.5]], 2)
 
 
 class TestEndToEnd:

@@ -123,7 +123,6 @@ class TestFormatting:
                     "circuit.member_steps": 400,
                     "circuit.frozen_members": 8,
                     "circuit.early_exits": 1,
-                    "circuit.rejected_steps": 25,
                 },
                 "gauges": {},
                 "histograms": {},
@@ -131,9 +130,8 @@ class TestFormatting:
         )
         assert "400 member-steps executed (50.0% of the step budget saved)" in text
         assert "early exit: 8 members frozen, 1 runs exited before budget" in text
-        assert "adaptive steps: 80.0% accepted (25 rejected)" in text
 
-    def test_format_metrics_fixed_runs_show_no_adaptive_lines(self):
+    def test_format_metrics_fixed_runs_show_no_early_exit_lines(self):
         # The fixed-step path records only steps/samples; none of the
         # derived annealing-path lines may appear for it.
         text = format_metrics(
@@ -144,4 +142,4 @@ class TestFormatting:
             }
         )
         assert "member-steps" not in text
-        assert "adaptive steps" not in text
+        assert "early exit" not in text

@@ -9,9 +9,13 @@ entry point: ``run_batch_sharded``, ``infer_batch_sharded``,
 
 Malformed observations (non-finite values, wrong shapes, duplicate or
 out-of-range indices) are rejected in the parent with ``ValueError``
-before any shared-memory or pool work, on the joint and sharded paths
-alike.
+before any solve, shared-memory or pool work, on the joint and sharded
+paths alike, by every inference entry point of the engine.  The serving
+front door rejects malformed values before queuing; a malformed index
+set only fails its own batch group.
 """
+
+import asyncio
 
 import numpy as np
 import pytest
@@ -25,6 +29,7 @@ from repro.parallel import (
     restart_fanout,
     run_batch_sharded,
 )
+from repro.serve import STATUS_OK, InferenceServer
 
 
 class TestEmptyBatchContracts:
@@ -70,15 +75,22 @@ class TestMalformedObservations:
         "flat_values": r"\(batch, num_observed\)",
     }
 
+    #: Entry points taking one observation vector rather than a batch.
+    SINGLE = ("infer", "infer_equilibrium", "submit")
+    INDEX_CASES = ("duplicate", "negative", "too_large")
+
     @given(
         case=st.sampled_from(sorted(MESSAGES)),
+        entry=st.sampled_from(
+            ["infer_batch", "infer_equilibrium_batch", *SINGLE]
+        ),
         workers=st.sampled_from([None, 1, 2]),
         position=st.integers(min_value=0, max_value=10_000),
         offset=st.integers(min_value=0, max_value=1_000),
     )
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=150, deadline=None)
     def test_infer_batch_rejects_before_any_work(
-        self, engine, case, workers, position, offset
+        self, engine, case, entry, workers, position, offset
     ):
         n = engine.model.n
         index = np.arange(4)
@@ -94,16 +106,50 @@ class TestMalformedObservations:
             index[k] = n + offset
         elif case == "narrow_values":
             values = values[:, :k]
-        else:
+        elif entry not in self.SINGLE:
             values = values[0]
+        if entry in self.SINGLE and case != "flat_values":
+            # One observation: the row holding the bad value, if any.
+            values = values[position % 3]
+        if entry == "submit" and case in self.INDEX_CASES:
+            # Admission checks values only; the bad index set fails its
+            # own batch group instead of resolving ``ok``.
+            result = asyncio.run(self._serve_one(engine, index, values))
+            assert result.status != STATUS_OK
+            assert self.MESSAGES[case] in result.error
+            return
+        call = {
+            "infer_batch": lambda: engine.infer_batch(
+                index, values, duration=1.0, workers=workers, shards=2
+            ),
+            "infer_equilibrium_batch": lambda: (
+                engine.infer_equilibrium_batch(index, values)
+            ),
+            "infer": lambda: engine.infer(index, values, duration=1.0),
+            "infer_equilibrium": lambda: (
+                engine.infer_equilibrium(index, values)
+            ),
+            "submit": lambda: asyncio.run(
+                self._serve_one(engine, index, values)
+            ),
+        }[entry]
         with obs.metrics_enabled() as registry:
             with pytest.raises(ValueError, match=self.MESSAGES[case]):
-                engine.infer_batch(
-                    index, values, duration=1.0, workers=workers, shards=2
-                )
-            counters = registry.snapshot()["counters"]
-        for name in ("parallel.shm.blocks", "parallel.tasks", "circuit.steps"):
+                call()
+            snapshot = registry.snapshot()
+        counters = snapshot["counters"]
+        for name in (
+            "parallel.shm.blocks", "parallel.tasks", "circuit.steps",
+            "serve.batches", "serve.failed",
+        ):
             assert counters.get(name, 0) == 0, name
+        assert "engine.solve_ms" not in snapshot["histograms"]
+
+    @staticmethod
+    async def _serve_one(engine, index, values):
+        async with InferenceServer(engine) as server:
+            future = server.submit(index, values)
+        return await future
 
     @pytest.mark.parametrize(
         "clamp_index, clamp_value, message",

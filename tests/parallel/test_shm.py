@@ -2,22 +2,28 @@
 
 Covers the descriptor-pickling contract (tasks ship ~100-byte handles, not
 arrays), the arena's lifecycle guarantee (no ``/dev/shm`` residue on
-success *or* error — including a worker raising mid-shard), the
-in-process fallback where shared memory is unavailable (same shards, same
-bits), and the attach/detach observability counters.
+success *or* error — including a worker raising mid-shard), that every
+returned result owns its memory (closing an arena unmaps its slabs even
+under live views), the in-process fallback where shared memory is
+unavailable (same shards, same bits), and the attach/detach
+observability counters.
 """
 
+import dataclasses
 import pickle
 
 import numpy as np
 import pytest
 
 from repro import obs
+from repro.core.dynamics import CircuitSimulator, IntegrationConfig
 from repro.core.operators import CouplingOperator
 from repro.parallel import (
     SharedArena,
+    infer_batch_sharded,
     parallel_map,
     pickled_bytes,
+    restart_fanout,
     run_batch_sharded,
     shard_task_bytes,
     shm_available,
@@ -173,6 +179,111 @@ class TestArenaLifecycle:
                 handle = arena.share(np.zeros(64))
                 parallel_map(_boom_on_shard, [(handle, 1)], workers=1)
         assert shm_residue() == []
+
+
+def _result_arrays(result):
+    """Every ndarray reachable from a sharded call's return value."""
+    if isinstance(result, np.ndarray):
+        yield result
+    elif isinstance(result, dict):
+        for value in result.values():
+            yield from _result_arrays(value)
+    elif isinstance(result, (list, tuple)):
+        for value in result:
+            yield from _result_arrays(value)
+    elif dataclasses.is_dataclass(result):
+        for field in dataclasses.fields(result):
+            yield from _result_arrays(getattr(result, field.name))
+
+
+class _SlabViews:
+    """Whole-block views of every arena block, taken at close time.
+
+    Only their address ranges are compared afterwards; nothing reads
+    through them once the blocks are unmapped, and neither this holder
+    nor a checked result is ever an argument of a failing frame, so a
+    failure report cannot print (read) unmapped memory either.
+    """
+
+    def __init__(self):
+        self.views = []
+
+    def __repr__(self) -> str:
+        return f"<{len(self.views)} slab views>"
+
+    def shared_with(self, result) -> int:
+        """How many (array, slab) pairs of ``result`` share memory."""
+        arrays = list(_result_arrays(result))
+        if not (arrays and self.views):
+            raise AssertionError("nothing to compare")
+        return sum(
+            np.shares_memory(array, view)
+            for array in arrays
+            for view in self.views
+        )
+
+
+class TestResultsOwnTheirMemory:
+    """``np.ndarray(buffer=block.buf)`` holds no buffer export, so an
+    arena's ``close()`` unmaps its slabs even while views of them are
+    alive.  A returned array that still viewed a slab would read unmapped
+    memory; every result must be a copy."""
+
+    @pytest.fixture
+    def slabs(self, monkeypatch):
+        captured = _SlabViews()
+        close = SharedArena.close
+
+        def capturing_close(arena):
+            if not arena._closed:
+                captured.views.extend(
+                    np.ndarray((block.size,), dtype=np.uint8, buffer=block.buf)
+                    for block in arena._blocks
+                )
+            close(arena)
+
+        monkeypatch.setattr(SharedArena, "close", capturing_close)
+        return captured
+
+    @pytest.mark.parametrize("early_exit", [False, True])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_run_batch_sharded(self, slabs, small_operator, workers, early_exit):
+        simulator = CircuitSimulator(
+            IntegrationConfig(dt=0.05, record_every=4, early_exit=early_exit)
+        )
+        batch = np.random.default_rng(6).uniform(
+            -1, 1, size=(4, small_operator.n)
+        )
+        shared = slabs.shared_with(
+            run_batch_sharded(
+                simulator, small_operator.drift, batch, 2.0,
+                clamp_index=np.arange(2), clamp_value=batch[:, :2],
+                energy=small_operator.energy, workers=workers, shards=2,
+            )
+        )
+        assert shared == 0
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_infer_batch_sharded(self, slabs, engine, workers):
+        values = np.linspace(-1.0, 1.0, 12).reshape(3, 4)
+        shared = slabs.shared_with(
+            infer_batch_sharded(
+                engine, np.arange(4), values, duration=1.0,
+                workers=workers, shards=2,
+            )
+        )
+        assert shared == 0
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_restart_fanout(self, slabs, engine, workers):
+        shared = slabs.shared_with(
+            restart_fanout(
+                engine, np.arange(4), np.linspace(-1.0, 1.0, 4),
+                restarts=4, duration=1.0, root_seed=0, max_retries=0,
+                workers=workers, shards=2,
+            )
+        )
+        assert shared == 0
 
 
 class TestInProcessFallback:

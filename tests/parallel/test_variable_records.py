@@ -1,7 +1,7 @@
-"""Sharded runs of adaptive / early-exit (variable-record) configs.
+"""Sharded runs of early-exit (variable-record) configs.
 
-Adaptive step control and early-exit settling record a data-dependent
-number of frames per shard, so no slab can hold the full grid.  These
+Early-exit settling records a data-dependent number of frames per
+shard, so no slab can hold the full grid.  These
 tests pin the contract: such shards write a two-frame slab (initial and
 final states and energies) and return only their finish time, the
 reassembled trajectory's ``final_states`` are exact, and results stay
@@ -36,11 +36,13 @@ def sigma0():
 
 
 VARIABLE_CONFIGS = [
-    IntegrationConfig(dt=0.05, adaptive=True, rtol=1e-5, atol=1e-8),
     IntegrationConfig(dt=0.05, early_exit=True, settle_tolerance=1e-9),
     IntegrationConfig(
-        dt=0.05, adaptive=True, rtol=1e-5, atol=1e-8,
-        early_exit=True, settle_tolerance=1e-9,
+        dt=0.05, method="rk4", early_exit=True, settle_tolerance=1e-9
+    ),
+    IntegrationConfig(
+        dt=0.05, early_exit=True, settle_tolerance=1e-9, record_every=7,
+        settle_check_every=5, settle_patience=3,
     ),
 ]
 
@@ -60,10 +62,10 @@ class TestTwoFrameReassembly:
     def test_final_states_match_unsharded(self, config, operator, sigma0):
         """With noise off, shard semantics equal legacy semantics, so the
         sharded two-frame reassembly must reproduce the unsharded final
-        states within the integration tolerance.  Bit-level equality is
-        out of reach by design: the adaptive controller picks steps from
-        the max error over its batch, so shard membership changes the
-        step sequence, and subset matvecs round differently."""
+        states within the settling tolerance.  Bit-level equality is out
+        of reach by design: each shard freezes its own members, so the
+        active slices (and the rounding of their subset matvecs) differ
+        from the unsharded run's."""
         simulator = CircuitSimulator(config=config)
         unsharded = simulator.run_batch(operator.drift, sigma0, 100.0)
         sharded = run_batch_sharded(

@@ -22,7 +22,7 @@ class TestParser:
     def test_grid_flags_parse(self):
         args = build_parser().parse_args(
             ["tune", "--durations", "10", "20", "--dts", "0.1", "0.05",
-             "--rtols", "1e-3", "--schedules", "cosine", "linear",
+             "--schedules", "cosine", "linear",
              "--smoke"]
         )
         assert args.durations == [10.0, 20.0]
@@ -45,7 +45,7 @@ class TestSearchMode:
 
     def test_smoke_search_writes_artifact(self, tmp_path, capsys):
         artifact = self._search(tmp_path)
-        assert artifact["version"] == 1
+        assert artifact["version"] == 2
         assert artifact["problem"]["kind"] == "circuit"
         assert artifact["front"]
         assert artifact["met_target"]
@@ -60,7 +60,6 @@ class TestSearchMode:
         labels = [row["label"] for row in artifact["rows"]]
         assert any("cosine" in label for label in labels)
         assert any("settle" in label for label in labels)
-        assert any("rtol" in label for label in labels)
 
     def test_dspu_smoke_search(self, tmp_path, capsys):
         out = tmp_path / "dspu.json"
@@ -105,3 +104,23 @@ class TestReplayMode:
         capsys.readouterr()
         assert main(["tune", "--config", str(out), "--repeats", "1"]) == 1
         assert "MISSED" in capsys.readouterr().out
+
+    def test_replay_refuses_version_one_artifact(self, tmp_path, capsys):
+        """A pre-version-2 artifact exits 2 with the refusal message on
+        stderr instead of a traceback."""
+        out = tmp_path / "pareto.json"
+        assert main([
+            "tune", "--smoke", "--n", "32", "--density", "0.2",
+            "--batch", "2", "--durations", "20",
+            "--target-error", "1e-3", "--repeats", "1", "--out", str(out),
+        ]) == 0
+        artifact = json.loads(out.read_text())
+        artifact["version"] = 1
+        artifact["best"]["candidate"].update(adaptive=True, rtol=1e-3)
+        out.write_text(json.dumps(artifact))
+        capsys.readouterr()
+        assert main(["tune", "--config", str(out), "--repeats", "1"]) == 2
+        captured = capsys.readouterr()
+        assert "unsupported tune artifact version 1" in captured.err
+        assert "Traceback" not in captured.err
+        assert "replayed" not in captured.out

@@ -16,6 +16,7 @@ from repro.tune import (
     save_artifact,
     search,
 )
+from repro.tune.search import ARTIFACT_VERSION
 
 
 @pytest.fixture(scope="module")
@@ -27,34 +28,43 @@ def problem():
 class TestTuneCandidate:
     def test_roundtrips_through_dict(self):
         candidate = TuneCandidate(
-            dt=0.05, adaptive=True, rtol=1e-5, early_exit=True,
+            dt=0.05, early_exit=True,
             settle_tolerance=1e-8, duration=25.0, schedule="cosine",
             sync_interval=5.0, restarts=3, shards=2, workers=2,
         )
         assert TuneCandidate.from_dict(candidate.to_dict()) == candidate
 
+    def test_from_dict_names_unknown_fields(self):
+        """A retired search dimension (here the variable-step fields of
+        version-1 artifacts) is refused by name, not by a TypeError."""
+        data = {**TuneCandidate().to_dict(), "adaptive": False, "rtol": 1e-4}
+        with pytest.raises(ValueError, match="adaptive, rtol"):
+            TuneCandidate.from_dict(data)
+
     def test_integration_config_mirrors_fields(self):
-        candidate = TuneCandidate(dt=0.02, adaptive=True, rtol=1e-5)
+        candidate = TuneCandidate(
+            dt=0.02, early_exit=True, settle_tolerance=1e-8
+        )
         config = candidate.integration_config()
         assert config.dt == 0.02
-        assert config.adaptive
-        assert config.rtol == 1e-5
+        assert config.early_exit
+        assert config.settle_tolerance == 1e-8
         # Tuned runs record nothing but endpoints and carry no noise.
         assert config.record_every == 1_000_000
         assert config.node_noise_std == 0.0
 
     def test_label_mentions_armed_dimensions(self):
         label = TuneCandidate(
-            adaptive=True, early_exit=True, schedule="cosine", restarts=4
+            early_exit=True, schedule="cosine", restarts=4
         ).label()
-        for token in ("rtol", "settle", "cosine", "restarts=4"):
+        for token in ("settle", "cosine", "restarts=4"):
             assert token in label
 
 
 class TestBuildGrid:
     def test_contains_fixed_baselines(self):
         grid = build_grid(durations=[10.0, 20.0], dts=[0.1, 0.05])
-        baselines = [c for c in grid if not c.adaptive and not c.early_exit]
+        baselines = [c for c in grid if not c.early_exit]
         assert len(baselines) == 4
         assert len(grid) == 4
 
@@ -62,7 +72,6 @@ class TestBuildGrid:
         grid = build_grid(
             durations=[10.0],
             dts=[0.1],
-            rtols=[1e-3, 1e-5],
             settle_tolerances=[1e-6],
             schedules=["cosine"],
             sync_intervals=[5.0],
@@ -70,9 +79,9 @@ class TestBuildGrid:
             shards=[2],
             workers=2,
         )
-        # 1 baseline + 2 adaptive + 1 early-exit + 2 adaptive×early-exit
-        # + 1 schedule + 1 restart (count 1 is skipped) + 1 sharded.
-        assert len(grid) == 9
+        # 1 baseline + 1 early-exit + 1 schedule + 1 restart (count 1 is
+        # skipped) + 1 sharded.
+        assert len(grid) == 5
         assert len(set(grid)) == len(grid)
 
     def test_deduplicates_overlapping_dimensions(self):
@@ -122,7 +131,7 @@ class TestEvaluateAndSearch:
             durations=[20.0, 50.0], dts=[0.1], settle_tolerances=[1e-8]
         )
         artifact = search(problem, grid, target_error=1e-3, repeats=1)
-        assert artifact["version"] == 1
+        assert artifact["version"] == ARTIFACT_VERSION == 2
         assert artifact["problem"]["kind"] == "circuit"
         assert len(artifact["rows"]) == len(grid)
         assert artifact["front"]
@@ -167,9 +176,24 @@ class TestArtifactRoundtrip:
         with pytest.raises(ValueError, match="version"):
             load_artifact(str(path))
 
+    def test_load_refuses_version_one_artifact(self, tmp_path):
+        """Version-1 artifacts carry the retired variable-step candidate
+        fields; the version check refuses them before any replay."""
+        path = tmp_path / "v1.json"
+        candidate = {**TuneCandidate().to_dict(), "adaptive": True,
+                     "rtol": 1e-3}
+        save_artifact(str(path), {
+            "version": 1, "problem": {"kind": "circuit"},
+            "target_error": 1e-4, "best": {"candidate": candidate},
+        })
+        with pytest.raises(
+            ValueError, match="unsupported tune artifact version 1"
+        ):
+            load_artifact(str(path))
+
     def test_load_rejects_missing_keys(self, tmp_path):
         path = tmp_path / "partial.json"
-        save_artifact(str(path), {"version": 1, "problem": {}})
+        save_artifact(str(path), {"version": ARTIFACT_VERSION, "problem": {}})
         with pytest.raises(ValueError, match="target_error"):
             load_artifact(str(path))
 
